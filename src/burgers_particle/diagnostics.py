@@ -71,9 +71,27 @@ def bounds_envelope(
     return BoundsEnvelope(m=m, M=M, v_lo=min(m, v0), v_hi=max(M, v0))
 
 
+def _copies(c: float, k: int) -> list[float]:
+    """Two floats whose exact sum is k * c: the rounded product and its
+    remainder, split in integer arithmetic (c = num / 2**e)."""
+    num, den = c.as_integer_ratio()
+    exact = k * num
+    head = float(exact)
+    e = den.bit_length() - 1
+    return [math.ldexp(head, -e), math.ldexp(float(exact - int(head)), -e)]
+
+
 def total_momentum(grid: "FluidGrid", particle: "ParticleState") -> float:
-    """m_p * v + dx * sum(u), with compensated summation of the cells."""
-    return particle.m_p * particle.v + grid.dx * math.fsum(grid.u.tolist())
+    """m_p * v + dx * sum(u), with compensated summation of the cells.
+
+    The constant tails outside the active range enter as their exact sums,
+    so ``math.fsum`` (correctly rounded) returns the bits it would over
+    every cell.
+    """
+    u, lo, hi = grid.u, grid.lo, grid.hi
+    terms = u[lo:hi].tolist()
+    terms += _copies(float(u[0]), lo) + _copies(float(u[-1]), grid.n - hi)
+    return particle.m_p * particle.v + grid.dx * math.fsum(terms)
 
 
 def total_variation(grid: "FluidGrid") -> float:
@@ -93,6 +111,8 @@ def make_record(
     dt_prev: float | None = None,
 ) -> DiagnosticsRecord:
     p0 = grid.particle_index
+    u = grid.u
+    active = u[grid.lo : grid.hi]
     accel = 0.0
     if prev_v is not None and dt_prev:
         accel = abs(particle.v - prev_v) / dt_prev
@@ -100,8 +120,8 @@ def make_record(
         t=t,
         momentum=total_momentum(grid, particle),
         tv=total_variation(grid),
-        u_min=float(grid.u.min()),
-        u_max=float(grid.u.max()),
+        u_min=float(min(active.min(), u[0], u[-1])),
+        u_max=float(max(active.max(), u[0], u[-1])),
         v=particle.v,
         accel=accel,
         trace_germ_dist=dist1_to_H(

@@ -11,7 +11,9 @@ time step for light particles.
 
 Two domain realizations are provided: a padded window emulating the infinite
 lattice (wide enough that no disturbance reaches the boundary before the
-final time, with a runtime guard) and a periodic box.
+final time, with a runtime guard) and a periodic box.  A padded step updates
+only the active range of cells that differ from the far-field values, widened
+by one cell on each side; every other cell keeps its bits exactly.
 """
 
 from __future__ import annotations
@@ -156,12 +158,32 @@ class SchemeConfig:
                 raise ValueError("periodic domain needs a positive half_width")
 
 
+def _active_range(u: np.ndarray, p0: int, start: int, stop: int) -> tuple[int, int]:
+    """Smallest [lo, hi) holding the particle cells p0, p0 + 1 and every cell
+    that differs from its far-field value: u[0] left of the particle, u[-1]
+    right of it.  Only [start, stop) is scanned; the caller knows the cells
+    outside it already equal their far-field value."""
+    left = np.flatnonzero(u[start:p0] != u[0])
+    right = np.flatnonzero(u[p0 + 2 : stop] != u[-1])
+    lo = start + int(left[0]) if left.size else p0
+    hi = p0 + 3 + int(right[-1]) if right.size else p0 + 2
+    return lo, hi
+
+
 @dataclass(frozen=True)
 class FluidGrid:
     """Cell averages on a uniform mesh; the particle sits between cells 0 and 1.
 
     Cell j (j from j_min upward) occupies [left_edge + (j - j_min) * dx,
     left_edge + (j - j_min + 1) * dx) in the lab frame.
+
+    ``[lo, hi)`` is the active range of array indices: every cell left of
+    ``lo`` equals the far-field value ``u[0]``, every cell from ``hi`` on
+    equals ``u[-1]``, and the particle cells are inside it.  It is computed
+    from ``u`` when not given; the step functions carry it forward.  Periodic
+    grids have no far field and use the full range.  ``leak`` is the momentum
+    that left a padded window through its edges during the step that produced
+    this grid (0 for an initial or periodic grid).
     """
 
     u: np.ndarray
@@ -169,6 +191,9 @@ class FluidGrid:
     left_edge: float
     j_min: int
     periodic: bool = False
+    lo: int | None = None
+    hi: int | None = None
+    leak: float = 0.0
 
     def __post_init__(self):
         u = np.asarray(self.u, dtype=float)
@@ -177,11 +202,25 @@ class FluidGrid:
             raise ValueError(f"cell width must be positive, got dx={self.dx}")
         if u.ndim != 1 or u.shape[0] < 4:
             raise ValueError("grid needs at least 4 cells")
-        if not np.all(np.isfinite(u)):
-            raise ValueError("cell values must be finite")
+        n = u.shape[0]
         p0 = -self.j_min
-        if not (0 <= p0 < u.shape[0] - 1):
+        if not (0 <= p0 < n - 1):
             raise ValueError("particle interface must lie inside the grid")
+        if self.periodic:
+            lo, hi = 0, n
+        elif self.lo is None or self.hi is None:
+            lo, hi = _active_range(u, p0, 0, n)
+        else:
+            lo, hi = self.lo, self.hi
+            if not (0 <= lo <= p0 and p0 + 2 <= hi <= n):
+                raise ValueError(f"active range [{lo}, {hi}) must hold the particle cells")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        # cells outside the active range are copies of u[0] and u[-1]
+        if not (
+            np.all(np.isfinite(u[lo:hi])) and math.isfinite(u[0]) and math.isfinite(u[-1])
+        ):
+            raise ValueError("cell values must be finite")
 
     @property
     def n(self) -> int:
@@ -212,7 +251,7 @@ class Trajectory:
     """Time-indexed record of a run: particle path, snapshots, diagnostics.
 
     ``boundary_flux`` is the cumulative momentum that left the (co-moving)
-    padded window through its edges; the exact discrete conservation law is
+    padded window through its edges (the sum of each step's ``grid.leak``); the exact discrete conservation law is
     momentum(t_n) + boundary_flux(t_n) == momentum(0).  It is identically
     zero on periodic domains and for data with equal far-field fluxes.
     """
@@ -308,28 +347,38 @@ def compute_dt(
 
 
 def _fluid_update(
-    grid: FluidGrid, v_flux: float, mu_step: float, fm: float, fp: float, cfg: SchemeConfig
-) -> np.ndarray:
-    """Flux-difference update of all cells at flux speed v_flux."""
+    grid: FluidGrid, v_flux: float, dt: float, fm: float, fp: float, cfg: SchemeConfig
+) -> tuple[np.ndarray, int, int, float]:
+    """Flux-difference update at flux speed v_flux.
+
+    Returns the new cells, their active range and the momentum that left a
+    padded window through its edges.  A padded window updates only the cells
+    that can change: the active range widened by one cell on each side.  Any
+    other cell sits between two equal neighbors, whose flux is one
+    deterministic value on both sides, so the update would return it
+    unchanged, bit for bit.
+    """
     u = grid.u
     n = grid.n
     p0 = grid.particle_index
+    mu_step = dt / grid.dx
     if grid.periodic:
         F = bulk_flux(cfg.bulk, u, np.roll(u, -1), v_flux)
         FR = F.copy()
         FR[p0] = fm
         FL = np.roll(F, 1)
         FL[p0 + 1] = fp
-        return u - mu_step * (FR - FL)
-    # F[i] is the flux between cells i and i+1; cells 1 .. n-2 are updated,
-    # the outermost cells copy their neighbor afterwards.
-    F = bulk_flux(cfg.bulk, u[:-1], u[1:], v_flux)
+        return u - mu_step * (FR - FL), 0, n, 0.0
+    # Cells a .. b-1 are updated; F[k] is the flux between cells a-1+k and
+    # a+k.  The outermost cells copy their neighbor afterwards.
+    a, b = max(grid.lo - 1, 1), min(grid.hi + 1, n - 1)
+    F = bulk_flux(cfg.bulk, u[a - 1 : b], u[a : b + 1], v_flux)
     right = F[1:].copy()
-    right[p0 - 1] = fm
+    right[p0 - a] = fm
     left = F[:-1].copy()
-    left[p0] = fp
+    left[p0 + 1 - a] = fp
     u_new = u.copy()
-    u_new[1:-1] = u[1:-1] - mu_step * (right - left)
+    u_new[a:b] = u[a:b] - mu_step * (right - left)
     # Guard: the two flux-updated cells next to each boundary must stay
     # untouched, otherwise the padding was too narrow for this run.
     if (
@@ -343,7 +392,12 @@ def _fluid_update(
         )
     u_new[0] = u_new[1]
     u_new[-1] = u_new[-2]
-    return u_new
+    lo, hi = _active_range(u_new, p0, a, b)
+    leak = dt * (
+        bulk_flux(cfg.bulk, float(u[n - 2]), float(u[n - 1]), v_flux)
+        - bulk_flux(cfg.bulk, float(u[0]), float(u[1]), v_flux)
+    )
+    return u_new, lo, hi, leak
 
 
 def _require_stencil(grid: FluidGrid):
@@ -354,6 +408,33 @@ def _require_stencil(grid: FluidGrid):
     elif p0 < 3 or grid.n - (p0 + 2) < 3:
         # keep the particle cells clear of the boundary guard zone
         raise ValueError("need at least 3 cells on each side of the particle")
+
+
+def _advance(
+    grid: FluidGrid,
+    particle: ParticleState,
+    cfg: SchemeConfig,
+    dt: float,
+    v_flux: float,
+    fm: float,
+    fp: float,
+) -> tuple[FluidGrid, ParticleState]:
+    """Fluid update at v_flux, momentum-conserving velocity update, and the
+    mesh shift by v^n shared by both steps."""
+    u_new, lo, hi, leak = _fluid_update(grid, v_flux, dt, fm, fp, cfg)
+    v = particle.v
+    new_grid = FluidGrid(
+        u=u_new,
+        dx=grid.dx,
+        left_edge=grid.left_edge + v * dt,
+        j_min=grid.j_min,
+        periodic=grid.periodic,
+        lo=lo,
+        hi=hi,
+        leak=leak,
+    )
+    v_new = v + (dt / particle.m_p) * (fm - fp)
+    return new_grid, ParticleState(h=particle.h + v * dt, v=v_new, m_p=particle.m_p)
 
 
 def step(
@@ -372,16 +453,7 @@ def step(
     fm, fp = interface_fluxes(
         cfg.iface, cfg.bulk, float(u[p0]), float(u[p0 + 1]), v, cfg.lam
     )
-    u_new = _fluid_update(grid, v, dt / grid.dx, float(fm), float(fp), cfg)
-    v_new = v + (dt / particle.m_p) * (float(fm) - float(fp))
-    new_grid = FluidGrid(
-        u=u_new,
-        dx=grid.dx,
-        left_edge=grid.left_edge + v * dt,
-        j_min=grid.j_min,
-        periodic=grid.periodic,
-    )
-    return new_grid, ParticleState(h=particle.h + v * dt, v=v_new, m_p=particle.m_p)
+    return _advance(grid, particle, cfg, dt, v, float(fm), float(fp))
 
 
 def _solve_implicit_velocity(
@@ -445,18 +517,7 @@ def step_implicit(
     u0, u1 = float(u[p0]), float(u[p0 + 1])
     w = _solve_implicit_velocity(u0, u1, particle, cfg, dt)
     fm, fp = interface_fluxes(cfg.iface, cfg.bulk, u0, u1, w, cfg.lam)
-    u_new = _fluid_update(grid, w, dt / grid.dx, float(fm), float(fp), cfg)
-    v_new = particle.v + (dt / particle.m_p) * (float(fm) - float(fp))
-    new_grid = FluidGrid(
-        u=u_new,
-        dx=grid.dx,
-        left_edge=grid.left_edge + particle.v * dt,
-        j_min=grid.j_min,
-        periodic=grid.periodic,
-    )
-    return new_grid, ParticleState(
-        h=particle.h + particle.v * dt, v=v_new, m_p=particle.m_p
-    )
+    return _advance(grid, particle, cfg, dt, w, float(fm), float(fp))
 
 
 def run(
@@ -515,24 +576,13 @@ def run(
             if snapshots[-1][0] != t:
                 snapshots.append((t, grid))
             next_req += 1
-        edge_states = None if grid.periodic else grid.u[[0, 1, -2, -1]].copy()
         grid, particle = advance(grid, particle, cfg, dt)
         prev_v = vs[-1]
-        if edge_states is None:
-            leak = 0.0
-        else:
-            # the implicit step evaluates all fluxes at the new velocity
-            v_flux = prev_v if cfg.velocity_update is VelocityUpdate.EXPLICIT else particle.v
-            ul0, ul1, ur0, ur1 = edge_states
-            leak = dt * float(
-                bulk_flux(cfg.bulk, ur0, ur1, v_flux)
-                - bulk_flux(cfg.bulk, ul0, ul1, v_flux)
-            )
         t = t_next
         times.append(t)
         hs.append(particle.h)
         vs.append(particle.v)
-        bflux.append(bflux[-1] + leak)
+        bflux.append(bflux[-1] + grid.leak)
         records.append(make_record(grid, particle, cfg.lam, t, prev_v, dt))
         if store_all and t != cfg.T:
             snapshots.append((t, grid))

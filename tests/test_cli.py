@@ -75,6 +75,49 @@ def test_parse_rejections_name_the_key(line, fragment):
         parse_config(MINIMAL + line + "\n")
 
 
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("dx", "nan"),
+        ("h0", "inf"),
+        ("v0", "-inf"),
+        ("half_width", "nan"),
+        ("u_minus", "nan"),
+        ("u_plus", "1e999"),
+        ("snapshots", "0.1, nan"),
+    ],
+)
+def test_non_finite_values_exit_2_naming_the_key(key, value, tmp_path, capsys):
+    lines = [line for line in MINIMAL.splitlines() if not line.startswith(key + " ")]
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text("\n".join(lines + [f"{key} = {value}"]) + "\n", encoding="utf-8")
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    fail = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    assert len(fail) == 1 and f"'{key}'" in fail[0]
+
+
+def _old_fmt(x) -> str:
+    # The per-value formatter every CSV cell used to go through.
+    if isinstance(x, (bool, np.bool_)):
+        return "1" if x else "0"
+    if isinstance(x, str):
+        return x
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    return format(float(x), ".17g")
+
+
+def test_csv_writer_bytes_match_the_per_value_formatter(tmp_path):
+    floats = np.array([-0.0, 0.0, 1e-300, 5e-324, 0.1, 1.0 / 3.0, -2.5, 1e22, 123456789.0])
+    mixed = ["", 3, np.int64(-7), True, np.bool_(False), "pass", 0.1, np.float64(-0.0), ""]
+    rows = list(zip(floats, mixed, floats[::-1]))
+    expected = "a,b,c\n" + "".join(",".join(_old_fmt(x) for x in row) + "\n" for row in rows)
+    cli._write_csv(tmp_path / "t.csv", ["a", "b", "c"], [floats, mixed, floats[::-1]])
+    assert (tmp_path / "t.csv").read_bytes() == expected.encode("utf-8")
+    cli._write_csv(tmp_path / "rows.csv", ["a", "b", "c"], zip(*rows))
+    assert (tmp_path / "rows.csv").read_bytes() == expected.encode("utf-8")
+
+
 def test_parse_reports_line_numbers():
     with pytest.raises(ConfigError, match="line 3"):
         parse_config("lambda = 1\nmass = 1\nbogus_key = 2\n")

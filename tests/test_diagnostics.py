@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from burgers_particle.diagnostics import (
     bounds_envelope,
@@ -55,6 +59,35 @@ def test_total_momentum_examples():
     assert total_momentum(grid, ParticleState(h=0, v=0, m_p=1.0)) == 0.0
     grid = FluidGrid(u=np.ones(10), dx=0.1, left_edge=-0.5, j_min=-4)
     assert total_momentum(grid, ParticleState(h=0, v=0.5, m_p=2.0)) == 2.0
+
+
+_values = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    c_left=_values,
+    c_right=_values,
+    k_left=st.integers(1, 20_000),
+    k_right=st.integers(1, 20_000),
+    middle=st.lists(_values, min_size=2, max_size=30),
+    v=_values,
+    m_p=st.floats(1e-3, 1e3),
+    dx=st.floats(1e-4, 1.0),
+    given_range=st.booleans(),
+)
+def test_total_momentum_with_tails_is_bit_exact(
+    c_left, c_right, k_left, k_right, middle, v, m_p, dx, given_range
+):
+    # Long constant tails enter the sum as their exact totals k*c, so the
+    # result has the bits of fsum over every cell, whether the range is
+    # carried (the tails exactly) or recomputed from u.
+    u = np.concatenate([np.full(k_left, c_left), middle, np.full(k_right, c_right)])
+    kw = dict(lo=k_left, hi=k_left + len(middle)) if given_range else {}
+    grid = FluidGrid(u=u, dx=dx, left_edge=0.0, j_min=-k_left, **kw)
+    particle = ParticleState(h=0.0, v=v, m_p=m_p)
+    expected = m_p * v + dx * math.fsum(u.tolist())
+    assert total_momentum(grid, particle).hex() == expected.hex()
 
 
 def test_total_variation_examples():

@@ -262,3 +262,43 @@ def test_dissipativity_probe_detects_rusanov_violation(iface):
         )
         worst = min(worst, d1, d2)
     assert worst < -1e-6
+
+
+def _bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+def test_float_path_matches_array_path_bit_for_bit():
+    # Scalar float calls take the pure-float kernels; they must return the
+    # bits of the array kernels on the same states, including ties (a == b),
+    # sonic points (v equal to a trace) and signed zeros.
+    rng = np.random.default_rng(7)
+    pool = np.array([-2.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 1.5])
+    n = 3000
+
+    def draw():
+        return np.where(rng.random(n) < 0.5, rng.choice(pool, n), rng.uniform(-3, 3, n))
+
+    a, b, v = draw(), draw(), draw()
+    tie = rng.random(n) < 0.15
+    b[tie] = a[tie]
+    sonic = rng.random(n)
+    v = np.where(sonic < 0.2, a, np.where(sonic < 0.4, b, v))
+    lams = rng.choice([0.5, 1.0, 2.0], n)
+    on_line = rng.random(n) < 0.1  # b = a - lam: the line G1
+    b[on_line] = a[on_line] - lams[on_line]
+    for kind in BULKS:
+        whole = bulk_flux(kind, a, b, v)
+        for k in range(n):
+            got = bulk_flux(kind, float(a[k]), float(b[k]), float(v[k]))
+            assert isinstance(got, float)
+            assert _bits(got) == _bits(whole[k]), (kind, a[k], b[k], v[k])
+        for iface in IFACES:
+            gm, gp = interface_fluxes(iface, kind, a, b, v, lams)
+            for k in range(n):
+                pair = interface_fluxes(
+                    iface, kind, float(a[k]), float(b[k]), float(v[k]), float(lams[k])
+                )
+                assert (_bits(pair[0]), _bits(pair[1])) == (_bits(gm[k]), _bits(gp[k])), (
+                    iface, kind, a[k], b[k], v[k], lams[k],
+                )

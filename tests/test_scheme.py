@@ -1,13 +1,18 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from burgers_particle.diagnostics import bounds_envelope, total_momentum, total_variation
 from burgers_particle.flux import BulkFluxKind, InterfaceFluxKind
 from burgers_particle.scheme import (
     BoundaryGuardError,
     Domain,
+    FluidGrid,
+    ParticleState,
     PiecewiseConstant,
     SchemeConfig,
     VelocityUpdate,
@@ -222,23 +227,32 @@ def test_guard_triggers_when_padding_too_narrow():
 
 
 def _loop_reference_step(grid, part, cfg, dt):
-    """Plain-loop transliteration of one explicit step (indexing oracle)."""
+    """Plain-loop transliteration of one step over the whole window (indexing
+    oracle): returns (u_new, v_new, leak), where leak is the momentum that
+    left a padded window through its edges.  The implicit update evaluates
+    every flux at the root of the velocity equation."""
     from burgers_particle.flux import bulk_flux, interface_fluxes
+    from burgers_particle.scheme import _solve_implicit_velocity
 
     u = grid.u
     n = grid.n
     p0 = grid.particle_index
     mu = dt / grid.dx
     v = part.v
+    if cfg.velocity_update is VelocityUpdate.IMPLICIT:
+        v = _solve_implicit_velocity(float(u[p0]), float(u[p0 + 1]), part, cfg, dt)
     fm, fp = interface_fluxes(cfg.iface, cfg.bulk, float(u[p0]), float(u[p0 + 1]), v, cfg.lam)
     fm, fp = float(fm), float(fp)
+
+    def flux(i, j):
+        return float(bulk_flux(cfg.bulk, float(u[i]), float(u[j]), v))
 
     def iface_flux(i):
         # flux between cell i and cell i+1 (mod n when periodic)
         j = (i + 1) % n if grid.periodic else i + 1
         if i == p0:
             return None  # replaced by the pair
-        return float(bulk_flux(cfg.bulk, float(u[i]), float(u[j]), v))
+        return flux(i, j)
 
     u_new = u.copy()
     cells = range(n) if grid.periodic else range(1, n - 1)
@@ -247,11 +261,13 @@ def _loop_reference_step(grid, part, cfg, dt):
         left_i = (k - 1) % n if grid.periodic else k - 1
         left = fp if k == p0 + 1 else iface_flux(left_i)
         u_new[k] = u[k] - mu * (right - left)
+    leak = 0.0
     if not grid.periodic:
         u_new[0] = u_new[1]
         u_new[-1] = u_new[-2]
-    v_new = v + (dt / part.m_p) * (fm - fp)
-    return u_new, v_new
+        leak = dt * (flux(n - 2, n - 1) - flux(0, 1))
+    v_new = part.v + (dt / part.m_p) * (fm - fp)
+    return u_new, v_new, leak
 
 
 @pytest.mark.parametrize("domain", [Domain.PADDED, Domain.PERIODIC])
@@ -265,10 +281,127 @@ def test_step_matches_loop_reference(domain, bulk, rng):
         env = bounds_envelope(u0, 0.2, 1.0)
         dt = compute_dt(grid, part, cfg, env)
         for _ in range(3):
-            u_ref, v_ref = _loop_reference_step(grid, part, cfg, dt)
+            u_ref, v_ref, _ = _loop_reference_step(grid, part, cfg, dt)
             grid, part = step(grid, part, cfg, dt)
             assert np.array_equal(grid.u, u_ref)
             assert part.v == v_ref
+
+
+def _bits(x) -> str:
+    return float(x).hex()
+
+
+def _reference_run(u0, h0, v0, cfg, dx):
+    """Full-window transliteration of run(..., store_all=True): every cell is
+    updated every step and every diagnostic sums the whole window.  Returns
+    the states (t, u), the record fields and the cumulative boundary flux."""
+    from burgers_particle.germ import dist1_to_H
+
+    env = bounds_envelope(u0, v0, cfg.lam, split=h0)
+    grid, part = init_state(u0, h0, v0, cfg, dx)
+    dt_nom = compute_dt(grid, part, cfg, env)
+    p0 = grid.particle_index
+
+    def record(g, p, t, accel):
+        u = g.u
+        return (
+            t,
+            p.m_p * p.v + g.dx * math.fsum(u.tolist()),
+            float(np.sum(np.abs(np.diff(u)))),
+            float(u.min()),
+            float(u.max()),
+            p.v,
+            accel,
+            dist1_to_H((float(u[p0]), float(u[p0 + 1])), p.v, cfg.lam),
+        )
+
+    states = [(0.0, grid.u)]
+    records = [record(grid, part, 0.0, 0.0)]
+    bflux = [0.0]
+    t = 0.0
+    eps = 1e-12 * max(1.0, cfg.T)
+    while t < cfg.T - eps:
+        remaining = cfg.T - t
+        dt, t_next = (remaining, cfg.T) if dt_nom >= remaining - eps else (dt_nom, t + dt_nom)
+        u_new, v_new, leak = _loop_reference_step(grid, part, cfg, dt)
+        grid = FluidGrid(
+            u=u_new,
+            dx=grid.dx,
+            left_edge=grid.left_edge + part.v * dt,
+            j_min=grid.j_min,
+            periodic=grid.periodic,
+        )
+        prev_v = part.v
+        part = ParticleState(h=part.h + part.v * dt, v=v_new, m_p=part.m_p)
+        t = t_next
+        states.append((t, grid.u))
+        records.append(record(grid, part, t, abs(part.v - prev_v) / dt))
+        bflux.append(bflux[-1] + leak)
+    return states, records, np.asarray(bflux)
+
+
+@pytest.mark.parametrize("update", list(VelocityUpdate))
+@pytest.mark.parametrize("bulk", BULKS)
+@pytest.mark.parametrize("iface", IFACES)
+def test_run_matches_full_window_reference(iface, bulk, update):
+    # Unequal, nonzero far-field values whose waves move outward: the active
+    # range widens, the tails enter the momentum as exact sums, and momentum
+    # leaks through the window edges.
+    u0 = PiecewiseConstant(breakpoints=(-0.3, 0.0, 0.25), values=(-0.6, 1.1, -0.7, 0.9))
+    cfg = base_cfg(T=0.3, m_p=0.5, bulk=bulk, iface=iface, velocity_update=update)
+    traj = run(u0, 0.0, 0.2, cfg, 0.05, store_all=True)
+    states, records, bflux = _reference_run(u0, 0.0, 0.2, cfg, 0.05)
+    assert len(traj.snapshots) == len(states) > 10
+    for (t, grid), (t_ref, u_ref) in zip(traj.snapshots, states):
+        assert t == t_ref
+        assert grid.u.tobytes() == u_ref.tobytes()
+    assert len(traj.records) == len(records)
+    for rec, ref in zip(traj.records, records):
+        assert [_bits(x) for x in dataclasses.astuple(rec)] == [_bits(x) for x in ref]
+    assert traj.boundary_flux.tobytes() == bflux.tobytes()
+    assert bflux[-1] != 0.0
+    first, last = traj.snapshots[0][1], traj.snapshots[-1][1]
+    assert 1 < last.lo < first.lo and first.hi < last.hi < last.n - 1
+
+
+def test_implicit_boundary_flux_uses_the_flux_speed():
+    # The implicit step evaluates every flux at the root w of the velocity
+    # equation; the window-edge leak must use w too, not v^{n+1}, which
+    # differs from w by the solver residual.
+    u0 = PiecewiseConstant.riemann(1.0, -1.0, 0.0)
+    cfg = base_cfg(T=0.5, mu=0.5, m_p=0.002, velocity_update=VelocityUpdate.IMPLICIT)
+    traj = run(u0, 0.0, 0.5, cfg, 0.01)
+    mom = np.array([r.momentum for r in traj.records])
+    assert traj.boundary_flux[-1] != 0.0
+    assert np.abs(mom + traj.boundary_flux - mom[0]).max() <= 1e-16
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    values=st.lists(st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.3, 0.8, 1.2]), min_size=1, max_size=5),
+    cuts=st.lists(st.floats(-0.6, 0.6), min_size=4, max_size=4),
+    v0=st.sampled_from([-0.5, 0.0, 0.2, 0.7]),
+    bulk=st.sampled_from(BULKS),
+    iface=st.sampled_from(IFACES),
+    update=st.sampled_from(list(VelocityUpdate)),
+)
+def test_active_range_holds_every_changed_cell(values, cuts, v0, bulk, iface, update):
+    # After every step the carried range equals the range recomputed from
+    # u alone: cells left of lo equal u[0], cells from hi on equal u[-1], and
+    # it is as tight as the particle cells allow.
+    bps = tuple(sorted(set(cuts)))[: len(values) - 1]
+    u0 = PiecewiseConstant(breakpoints=bps, values=tuple(values[: len(bps) + 1]))
+    cfg = base_cfg(T=0.3, bulk=bulk, iface=iface, velocity_update=update)
+    grid, part = init_state(u0, 0.0, v0, cfg, 0.05)
+    dt = compute_dt(grid, part, cfg, bounds_envelope(u0, v0, 1.0))
+    advance = step if update is VelocityUpdate.EXPLICIT else step_implicit
+    for _ in range(12):
+        grid, part = advance(grid, part, cfg, dt)
+        u, lo, hi, p0 = grid.u, grid.lo, grid.hi, grid.particle_index
+        assert np.all(u[:lo] == u[0]) and np.all(u[hi:] == u[-1])
+        assert lo <= p0 and p0 + 2 <= hi
+        fresh = FluidGrid(u=u, dx=grid.dx, left_edge=grid.left_edge, j_min=grid.j_min)
+        assert (lo, hi) == (fresh.lo, fresh.hi)
 
 
 def test_step_rejects_bad_dt():
