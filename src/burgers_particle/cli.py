@@ -38,7 +38,14 @@ from .diagnostics import (
     maximality_probe,
 )
 from .flux import BulkFluxKind, InterfaceFluxKind, lipschitz_bound
-from .scheme import Domain, PiecewiseConstant, SchemeConfig, VelocityUpdate, run
+from .scheme import (
+    BoundaryGuardError,
+    Domain,
+    PiecewiseConstant,
+    SchemeConfig,
+    VelocityUpdate,
+    run,
+)
 
 
 class ConfigError(ValueError):
@@ -231,7 +238,12 @@ def _write_csv(path: Path, header: list[str], columns) -> None:
 
 
 def _fail(name: str, value, limit) -> None:
-    print(f"FAIL check={name} value={_fmt(value)} limit={_fmt(limit)}")
+    def fmt(x) -> str:
+        if isinstance(x, tuple):
+            return "(" + ",".join(map(_fmt, x)) + ")"
+        return _fmt(x)
+
+    print(f"FAIL check={name} value={fmt(value)} limit={fmt(limit)}")
 
 
 def cmd_run(cfg: ExperimentConfig, out_dir: Path) -> int:
@@ -392,6 +404,9 @@ def main(argv: list[str] | None = None) -> int:
     }[args.command]
     try:
         return handler(cfg, args.out)
+    except BoundaryGuardError as exc:
+        print(f"FAIL check=boundary_guard value={exc}")
+        return 2
     except (ConfigError, ValueError) as exc:
         print(f"FAIL check=execution value={exc}")
         return 2

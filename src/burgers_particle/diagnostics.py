@@ -81,17 +81,76 @@ def _copies(c: float, k: int) -> list[float]:
     return [math.ldexp(head, -e), math.ldexp(float(exact - int(head)), -e)]
 
 
-def total_momentum(grid: "FluidGrid", particle: "ParticleState") -> float:
-    """m_p * v + dx * sum(u), with compensated summation of the cells.
+# Below this many terms ``math.fsum`` over a list beats the numpy passes of
+# ``_exact_sum``: both take about 27 us at 550-600 terms (numpy 2.4, Python
+# 3.11, a 2-core Xeon VM); at 12000 terms fsum takes about 7x longer.
+EXACT_SUM_MIN_LEN = 600
 
-    The constant tails outside the active range enter as their exact sums,
-    so ``math.fsum`` (correctly rounded) returns the bits it would over
-    every cell.
+
+def _fsum(x: np.ndarray, tails: Sequence[tuple[int, float]]) -> float:
+    terms = x.tolist()
+    for k, c in tails:
+        terms += _copies(c, k)
+    return math.fsum(terms)
+
+
+def _exact_sum(x: np.ndarray, tails: Sequence[tuple[int, float]] = ()) -> float:
+    """Correctly rounded sum(x) + sum(k * c for k, c in tails): the bits of
+    ``math.fsum`` over the same terms.
+
+    Error-free extraction (Rump, Ogita and Oishi, SISC 2008): x is scaled by
+    2**s so that every |x| < 2**b with n * 2**b <= 2**53; then the integer
+    parts of the n terms sum exactly in floating point, and each pass adds
+    their sum into a Python int and moves on to the fractions times 2**b,
+    until no fraction is left.  The tails add exactly from their integer
+    ratios, and one division rounds.  Short inputs, a zero total (fsum's
+    signed-zero rule) and scalings that would underflow go to ``math.fsum``.
+    """
+    n = x.shape[0]
+    if n < EXACT_SUM_MIN_LEN:
+        return _fsum(x, tails)
+    b = 53 - n.bit_length()
+    s = b - math.frexp(max(float(x.max()), -float(x.min())))[1]
+    y = np.ldexp(x, s)
+    if s < 0 and not np.array_equal(np.ldexp(y, -s), x):
+        return _fsum(x, tails)
+    whole = np.empty_like(y)
+    scale = float(1 << b)
+    total = 0
+    shift = s - b  # sum(x) == total / 2**shift after each pass
+    while True:
+        # integer and fractional parts, as np.modf splits them but faster;
+        # the subtraction is exact
+        np.trunc(y, out=whole)
+        y -= whole
+        total = (total << b) + int(whole.sum())
+        shift += b
+        if not y.any():
+            break
+        y *= scale
+    exact_tails = []  # k * c == num / 2**d
+    for k, c in tails:
+        num, den = c.as_integer_ratio()
+        exact_tails.append((k * num, den.bit_length() - 1))
+    e = max([shift, 0] + [d for _, d in exact_tails])
+    total <<= e - shift
+    for num, d in exact_tails:
+        total += num << (e - d)
+    if total == 0:
+        return _fsum(x, tails)
+    return total / (1 << e)
+
+
+def total_momentum(grid: "FluidGrid", particle: "ParticleState") -> float:
+    """m_p * v + dx * sum(u), with the cells summed exactly.
+
+    The constant tails outside the active range enter as their exact sums
+    k * c, so the correctly rounded sum has the bits ``math.fsum`` gives
+    over every cell.
     """
     u, lo, hi = grid.u, grid.lo, grid.hi
-    terms = u[lo:hi].tolist()
-    terms += _copies(float(u[0]), lo) + _copies(float(u[-1]), grid.n - hi)
-    return particle.m_p * particle.v + grid.dx * math.fsum(terms)
+    tails = ((lo, float(u[0])), (grid.n - hi, float(u[-1])))
+    return particle.m_p * particle.v + grid.dx * _exact_sum(u[lo:hi], tails)
 
 
 def total_variation(grid: "FluidGrid") -> float:

@@ -346,6 +346,28 @@ def compute_dt(
     return dt
 
 
+def _flux_update(
+    ext: np.ndarray,
+    k: int,
+    v_flux: float,
+    mu_step: float,
+    fm: float,
+    fp: float,
+    cfg: SchemeConfig,
+) -> np.ndarray:
+    """Updated values of the cells ext[1:-1], whose neighbors ext[0] and
+    ext[-1] only supply fluxes.  Cells k and k + 1 (counted from ext[1]) are
+    the particle cells: the interface pair fm, fp replaces the bulk flux
+    between them."""
+    F = bulk_flux(cfg.bulk, ext[:-1], ext[1:], v_flux)
+    right, left = F[1:], F[:-1]
+    cells = ext[1:-1]
+    out = cells - mu_step * (right - left)
+    out[k] = cells[k] - mu_step * (fm - left[k])
+    out[k + 1] = cells[k + 1] - mu_step * (right[k + 1] - fp)
+    return out
+
+
 def _fluid_update(
     grid: FluidGrid, v_flux: float, dt: float, fm: float, fp: float, cfg: SchemeConfig
 ) -> tuple[np.ndarray, int, int, float]:
@@ -363,22 +385,13 @@ def _fluid_update(
     p0 = grid.particle_index
     mu_step = dt / grid.dx
     if grid.periodic:
-        F = bulk_flux(cfg.bulk, u, np.roll(u, -1), v_flux)
-        FR = F.copy()
-        FR[p0] = fm
-        FL = np.roll(F, 1)
-        FL[p0 + 1] = fp
-        return u - mu_step * (FR - FL), 0, n, 0.0
-    # Cells a .. b-1 are updated; F[k] is the flux between cells a-1+k and
-    # a+k.  The outermost cells copy their neighbor afterwards.
+        ext = np.concatenate((u[-1:], u, u[:1]))
+        return _flux_update(ext, p0, v_flux, mu_step, fm, fp, cfg), 0, n, 0.0
+    # Cells a .. b-1 are updated; the outermost cells copy their neighbor
+    # afterwards.
     a, b = max(grid.lo - 1, 1), min(grid.hi + 1, n - 1)
-    F = bulk_flux(cfg.bulk, u[a - 1 : b], u[a : b + 1], v_flux)
-    right = F[1:].copy()
-    right[p0 - a] = fm
-    left = F[:-1].copy()
-    left[p0 + 1 - a] = fp
     u_new = u.copy()
-    u_new[a:b] = u[a:b] - mu_step * (right - left)
+    u_new[a:b] = _flux_update(u[a - 1 : b + 1], p0 - a, v_flux, mu_step, fm, fp, cfg)
     # Guard: the two flux-updated cells next to each boundary must stay
     # untouched, otherwise the padding was too narrow for this run.
     if (

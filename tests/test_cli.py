@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from burgers_particle.cli import (
     parse_config,
 )
 from burgers_particle.flux import BulkFluxKind, InterfaceFluxKind
-from burgers_particle.scheme import Domain, VelocityUpdate
+from burgers_particle.scheme import BoundaryGuardError, Domain, VelocityUpdate
 
 MINIMAL = """
 # minimal valid configuration
@@ -263,3 +265,40 @@ def test_main_exit_codes(tmp_path):
     bad.write_text("mu = -1\n", encoding="utf-8")
     assert main(["run", str(bad), "--out", str(tmp_path / "out")]) == 2
     assert main(["run", str(tmp_path / "missing.cfg"), "--out", str(tmp_path)]) == 2
+
+
+def test_run_gate_reports_a_record_out_of_bounds(tmp_path, monkeypatch, capsys):
+    # The invariant-region and velocity gates pass (low, high) tuples; their
+    # first violation must print a FAIL line, not crash the formatter.
+    real_run = cli.run
+
+    def run(*args, **kwargs):
+        traj = real_run(*args, **kwargs)
+        r = traj.records[3]
+        traj.records[3] = dataclasses.replace(r, u_max=traj.env.M + 1.0, v=traj.env.v_hi + 1.0)
+        return traj
+
+    monkeypatch.setattr(cli, "run", run)
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(MINIMAL + "v0 = 0.5\n", encoding="utf-8")
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[1] for line in lines] == [
+        "check=invariant_region",
+        "check=velocity_bounds",
+    ]
+    assert lines[0] == "FAIL check=invariant_region value=(-1,2) limit=(-1,1)"
+
+
+def test_main_reports_boundary_guard(tmp_path, monkeypatch, capsys):
+    def run(*args, **kwargs):
+        raise BoundaryGuardError("disturbance reached the padded boundary; enlarge the domain")
+
+    monkeypatch.setattr(cli, "run", run)
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(MINIMAL, encoding="utf-8")
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().out == (
+        "FAIL check=boundary_guard value=disturbance reached the padded boundary; "
+        "enlarge the domain\n"
+    )

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from burgers_particle.diagnostics import (
+    EXACT_SUM_MIN_LEN,
+    _exact_sum,
     bounds_envelope,
     convergence_study,
     dissipativity_probe,
@@ -88,6 +90,52 @@ def test_total_momentum_with_tails_is_bit_exact(
     particle = ParticleState(h=0.0, v=v, m_p=m_p)
     expected = m_p * v + dx * math.fsum(u.tolist())
     assert total_momentum(grid, particle).hex() == expected.hex()
+
+
+_SPECIAL = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310,
+    1e-300, -1e-300, 1e300, -1e300, 1.0, -1.0, 0.1, 2.0**52 + 1,
+]
+_pool_values = st.one_of(
+    st.sampled_from(_SPECIAL),
+    st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False),
+    st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    pool=st.lists(_pool_values, min_size=1, max_size=8),
+    n=st.one_of(
+        st.integers(0, 2 * EXACT_SUM_MIN_LEN),
+        st.sampled_from([EXACT_SUM_MIN_LEN - 1, EXACT_SUM_MIN_LEN, 5000]),
+    ),
+    seed=st.integers(0, 2**32 - 1),
+    mirror=st.booleans(),
+    tails=st.lists(st.tuples(st.integers(0, 20_000), _pool_values), max_size=3),
+)
+def test_exact_sum_has_the_bits_of_fsum(pool, n, seed, mirror, tails):
+    # Terms drawn from a small pool mix signed zeros, subnormals and
+    # magnitudes from 1e-300 to 1e300; a mirrored half cancels to an exact
+    # zero.  Lengths fall on both sides of the crossover to math.fsum, and
+    # the tails stand for up to 20000 copies of one value each.
+    x = np.random.default_rng(seed).choice(np.array(pool), n)
+    if mirror:
+        x = np.concatenate([x, -x[::-1]])
+    terms = x.tolist()
+    for k, c in tails:
+        terms += [c] * k
+    assert _exact_sum(x, tails).hex() == math.fsum(terms).hex()
+
+
+@pytest.mark.parametrize("tiny", [5e-324, 1e-300, -1e-300])
+def test_exact_sum_keeps_terms_that_scaling_would_flush(tiny):
+    # 2**1000 + 2**947 lies halfway between two floats, so the sign of a
+    # tiny third term decides the rounding; scaling the large terms into
+    # range must not flush it to zero.
+    x = np.zeros(2 * EXACT_SUM_MIN_LEN)
+    x[:3] = 2.0**1000, 2.0**947, tiny
+    assert _exact_sum(x).hex() == math.fsum(x.tolist()).hex()
 
 
 def test_total_variation_examples():

@@ -6,7 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from burgers_particle.diagnostics import bounds_envelope, total_momentum, total_variation
+from burgers_particle.diagnostics import (
+    EXACT_SUM_MIN_LEN,
+    bounds_envelope,
+    total_momentum,
+    total_variation,
+)
 from burgers_particle.flux import BulkFluxKind, InterfaceFluxKind
 from burgers_particle.scheme import (
     BoundaryGuardError,
@@ -304,10 +309,13 @@ def _reference_run(u0, h0, v0, cfg, dx):
 
     def record(g, p, t, accel):
         u = g.u
+        tv = float(np.sum(np.abs(np.diff(u))))
+        if g.periodic:
+            tv += abs(float(u[0]) - float(u[-1]))
         return (
             t,
             p.m_p * p.v + g.dx * math.fsum(u.tolist()),
-            float(np.sum(np.abs(np.diff(u)))),
+            tv,
             float(u.min()),
             float(u.max()),
             p.v,
@@ -340,6 +348,17 @@ def _reference_run(u0, h0, v0, cfg, dx):
     return states, records, np.asarray(bflux)
 
 
+def _assert_matches_reference(traj, states, records, bflux):
+    assert len(traj.snapshots) == len(states) > 10
+    for (t, grid), (t_ref, u_ref) in zip(traj.snapshots, states):
+        assert t == t_ref
+        assert grid.u.tobytes() == u_ref.tobytes()
+    assert len(traj.records) == len(records)
+    for rec, ref in zip(traj.records, records):
+        assert [_bits(x) for x in dataclasses.astuple(rec)] == [_bits(x) for x in ref]
+    assert traj.boundary_flux.tobytes() == bflux.tobytes()
+
+
 @pytest.mark.parametrize("update", list(VelocityUpdate))
 @pytest.mark.parametrize("bulk", BULKS)
 @pytest.mark.parametrize("iface", IFACES)
@@ -350,18 +369,29 @@ def test_run_matches_full_window_reference(iface, bulk, update):
     u0 = PiecewiseConstant(breakpoints=(-0.3, 0.0, 0.25), values=(-0.6, 1.1, -0.7, 0.9))
     cfg = base_cfg(T=0.3, m_p=0.5, bulk=bulk, iface=iface, velocity_update=update)
     traj = run(u0, 0.0, 0.2, cfg, 0.05, store_all=True)
-    states, records, bflux = _reference_run(u0, 0.0, 0.2, cfg, 0.05)
-    assert len(traj.snapshots) == len(states) > 10
-    for (t, grid), (t_ref, u_ref) in zip(traj.snapshots, states):
-        assert t == t_ref
-        assert grid.u.tobytes() == u_ref.tobytes()
-    assert len(traj.records) == len(records)
-    for rec, ref in zip(traj.records, records):
-        assert [_bits(x) for x in dataclasses.astuple(rec)] == [_bits(x) for x in ref]
-    assert traj.boundary_flux.tobytes() == bflux.tobytes()
-    assert bflux[-1] != 0.0
+    _assert_matches_reference(traj, *_reference_run(u0, 0.0, 0.2, cfg, 0.05))
+    assert traj.boundary_flux[-1] != 0.0
     first, last = traj.snapshots[0][1], traj.snapshots[-1][1]
     assert 1 < last.lo < first.lo and first.hi < last.hi < last.n - 1
+
+
+@pytest.mark.parametrize("domain", list(Domain))
+def test_run_matches_full_window_reference_on_long_sums(domain):
+    # Momentum sums of EXACT_SUM_MIN_LEN cells or more take the integer
+    # extraction path of the exact sum instead of math.fsum; the records must
+    # still have the bits of fsum over the whole window.  The periodic box
+    # sums all its cells; the padded active range starts below the crossover
+    # length and ends above it.
+    u0 = PiecewiseConstant(breakpoints=(-5.9, 0.0, 5.9), values=(-0.6, 1.1, -0.7, 0.9))
+    kw = {"half_width": 6.5} if domain is Domain.PERIODIC else {}
+    cfg = base_cfg(T=0.15, m_p=0.5, bulk=BulkFluxKind.ENGQUIST_OSHER, domain=domain, **kw)
+    traj = run(u0, 0.0, 0.2, cfg, 0.02, store_all=True)
+    _assert_matches_reference(traj, *_reference_run(u0, 0.0, 0.2, cfg, 0.02))
+    sizes = [grid.hi - grid.lo for _, grid in traj.snapshots]
+    if domain is Domain.PERIODIC:
+        assert min(sizes) >= EXACT_SUM_MIN_LEN
+    else:
+        assert sizes[0] < EXACT_SUM_MIN_LEN <= sizes[-1]
 
 
 def test_implicit_boundary_flux_uses_the_flux_speed():
