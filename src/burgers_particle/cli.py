@@ -73,7 +73,6 @@ class ExperimentConfig:
     dx_levels: tuple[float, ...]
     snapshot_times: tuple[float, ...]
     seed: int
-    out_dir: Path | None = None
 
     @property
     def dx(self) -> float:
@@ -347,7 +346,7 @@ def cmd_probe_germ(cfg: ExperimentConfig, out_dir: Path) -> int:
     rng = np.random.default_rng(cfg.seed)
     lam = cfg.scheme.lam
     candidates = rng.uniform(-3.0 * lam, 3.0 * lam, size=(1000, 2))
-    verdicts = maximality_probe(lam, 0.0, 10_000, [tuple(p) for p in candidates])
+    verdicts = maximality_probe(lam, 0.0, 10_000, candidates)
     rows = []
     status = 0
     for verdict in verdicts:

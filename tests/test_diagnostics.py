@@ -7,7 +7,12 @@ from hypothesis import strategies as st
 
 from burgers_particle.diagnostics import (
     EXACT_SUM_MIN_LEN,
+    TAU_NUM,
+    MaximalityVerdict,
     _exact_sum,
+    _linspace17,
+    _row_min,
+    _three_smallest,
     bounds_envelope,
     convergence_study,
     dissipativity_probe,
@@ -19,7 +24,7 @@ from burgers_particle.diagnostics import (
 )
 from burgers_particle.exact import ParticleRiemannProblem
 from burgers_particle.flux import BulkFluxKind, InterfaceFluxKind
-from burgers_particle.germ import GermRegion, in_germ
+from burgers_particle.germ import GermRegion, classify, in_germ
 from burgers_particle.scheme import (
     FluidGrid,
     ParticleState,
@@ -266,6 +271,181 @@ def test_maximality_probe_accepts_members(rng):
     cands = [random_germ_point(rng, 0.0, 1.0) for _ in range(60)]
     for verdict in maximality_probe(1.0, 0.0, 2000, cands):
         assert verdict.passes
+
+
+# The per-candidate loop of the first maximality_probe, kept verbatim as the
+# oracle of the batched probe: min_xi must match it bit for bit.
+def _ref_xi_values(p, Q, v):
+    a, b = p
+    qm, qp = Q[:, 0], Q[:, 1]
+    fa = 0.5 * a * a - v * a
+    fb = 0.5 * b * b - v * b
+    phi_m = np.sign(a - qm) * (fa - (0.5 * qm * qm - v * qm))
+    phi_p = np.sign(b - qp) * (fb - (0.5 * qp * qp - v * qp))
+    return phi_m - phi_p
+
+
+def _ref_line_points(ts, lam):
+    return np.column_stack([ts, ts - lam])
+
+
+def _ref_adapted_box_points(a, b, v, lam):
+    ca = min(max(a, v), v + lam)
+    cb = min(max(b, v - lam), v)
+    pts = [
+        (ca, cb),
+        (ca, v - lam), (ca, v),
+        (v, cb), (v + lam, cb),
+        (v, v), (v + lam, v), (v, v - lam),
+        (0.5 * (v + ca), cb), (ca, 0.5 * (v - lam + cb)),
+    ]
+    arr = np.array(pts)
+    keep = (arr[:, 0] - arr[:, 1]) <= lam
+    return arr[keep]
+
+
+def _reference_maximality_probe(lam, v, n_h, candidates, tau=TAU_NUM, boundary_tol=1e-6):
+    base = sample_maximal_subset(v, lam, n_h)
+    n_line = max(2, n_h // 2)
+    spacing = 8.0 * lam / (n_line - 1)
+    offsets = np.array(
+        [-4.0, -2.0, -1.0, -0.5, -0.25, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 4.0]
+    )
+    line_ts = base[:n_line, 0]
+    out = []
+    for cand in candidates:
+        a, b = float(cand[0]), float(cand[1])
+        m = float(np.min(_ref_xi_values((a, b), base, v)))
+        d = a - b - lam
+        anchors = np.array([0.5 * (a + b + lam), a, b + lam])
+        ts = np.concatenate([(anchors[:, None] + d * offsets[None, :]).ravel(), anchors])
+        m = min(m, float(np.min(_ref_xi_values((a, b), _ref_line_points(ts, lam), v))))
+        box_adapted = _ref_adapted_box_points(a, b, v, lam)
+        m = min(m, float(np.min(_ref_xi_values((a, b), box_adapted, v))))
+        line_vals = _ref_xi_values((a, b), _ref_line_points(line_ts, lam), v)
+        for t0 in line_ts[np.argsort(line_vals)[:3]]:
+            h = spacing
+            for _ in range(3):
+                ts = np.linspace(t0 - h, t0 + h, 17)
+                vals = _ref_xi_values((a, b), _ref_line_points(ts, lam), v)
+                j = int(np.argmin(vals))
+                t0 = ts[j]
+                m = min(m, float(vals[j]))
+                h /= 8.0
+        passes = m >= -tau
+        out.append(
+            MaximalityVerdict(
+                point=(a, b),
+                min_xi=m,
+                passes=passes,
+                region=classify((a, b), v, lam),
+                consistent=(not passes) or in_germ((a, b), v, lam, tol=boundary_tol),
+            )
+        )
+    return out
+
+
+def _assert_matches_reference(lam, v, n_h, candidates):
+    got = maximality_probe(lam, v, n_h, candidates)
+    want = _reference_maximality_probe(lam, v, n_h, [tuple(p) for p in candidates])
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.point == w.point
+        assert g.min_xi.hex() == w.min_xi.hex(), (g.point, g.min_xi, w.min_xi)
+        assert g == w
+    return got
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.0, 2.5])
+@pytest.mark.parametrize("v", [0.0, 0.3, -0.6])
+def test_maximality_probe_matches_reference_loop(lam, v):
+    rng = np.random.default_rng(int(100 * lam + 10 * v) + 7)
+    cands = rng.uniform(v - 3.0 * lam, v + 3.0 * lam, size=(120, 2))
+    cands[::3] = np.round(cands[::3] * 4.0) / 4.0  # exact pairings, zeros
+    _assert_matches_reference(lam, v, 1000, cands)
+
+
+@pytest.mark.parametrize("count", [0, 1, 63, 64, 65, 1000])
+def test_maximality_probe_matches_reference_at_block_edges(count):
+    cands = np.random.default_rng(count).uniform(-3.0, 3.0, size=(count, 2))
+    assert len(_assert_matches_reference(1.0, 0.0, 10_000, cands)) == count
+
+
+_CRAFTED = [0.0, -0.0, 0.25, -0.25, 0.5, -0.5, 0.75, -0.75, 1.0, -1.0, 1.5, -1.5,
+            2.0, -2.0, 3.0, -3.0]
+
+
+@pytest.mark.parametrize("lam", [0.25, 0.5, 1.0, 2.0])
+def test_maximality_probe_matches_reference_on_signed_zeros(lam):
+    # Many candidates on the sample's lattice reach an exact zero minimum,
+    # some as -0.0: the group minima must keep the reference's sign of zero
+    # (np.minimum, or a masked np.min, would not).
+    cands = np.array([(a, b) for a in _CRAFTED for b in _CRAFTED])
+    zeros = 0
+    for v in (0.0, 0.5, -0.5, 0.25, -1.0):
+        got = _assert_matches_reference(lam, v, 1000, cands)
+        zeros += sum(r.min_xi == 0.0 for r in got)
+    assert zeros > 50
+
+
+def test_maximality_probe_matches_reference_on_tied_line_values():
+    # A candidate on a sample line point sees two equal line values beside
+    # its zero, so the top-3 search must fall back to a full argsort.
+    lam, v, n_h = 1.0, 0.0, 1000
+    line = sample_maximal_subset(v, lam, n_h)[: n_h // 2]
+    tied = 0
+    for a, b in line:
+        vals = np.sort(_ref_xi_values((float(a), float(b)), line, v))[:4]
+        tied += not (vals[0] < vals[1] < vals[2] < vals[3])
+    assert tied > 0
+    _assert_matches_reference(lam, v, n_h, line)
+
+
+def test_three_smallest_is_argsort_prefix_with_ties():
+    rng = np.random.default_rng(5)
+    pool = np.array([-0.0, 0.0, 1.0, -1.0, 2.0, 0.5])
+    for n in (4, 5, 8, 50):
+        for _ in range(200):
+            x = rng.choice(pool, size=n)
+            assert np.array_equal(_three_smallest(x), np.argsort(x)[:3])
+    x = rng.uniform(size=100)
+    assert np.array_equal(_three_smallest(x), np.argsort(x)[:3])
+
+
+def test_row_min_keeps_the_sign_of_zero_of_each_row():
+    rng = np.random.default_rng(6)
+    vals = rng.choice(np.array([0.0, -0.0, 1.0, 2.0]), size=(2000, 10))
+    keep = rng.random((2000, 10)) < 0.7
+    keep[:, 0] = True
+    want = [vals[i][keep[i]].min() for i in range(len(vals))]
+    got = _row_min(vals, keep)
+    assert [x.hex() for x in got.tolist()] == [float(x).hex() for x in want]
+
+
+def test_linspace17_has_the_bits_of_linspace():
+    tiny = 5e-324
+    start = np.array([-1.0, 0.3, 2.0, 0.0, 0.0, -8 * tiny, 1e-300, 7.0])
+    stop = np.array([1.0, 0.30000000000000004, 2.0, 8 * tiny, 40 * tiny, tiny, 2e-300, 7.5])
+    got = _linspace17(start, stop)
+    for i in range(len(start)):
+        want = np.linspace(start[i], stop[i], 17)
+        assert [x.hex() for x in got[i].tolist()] == [x.hex() for x in want.tolist()]
+
+
+_probe_coord = st.one_of(
+    st.floats(-4.0, 4.0, allow_nan=False),
+    st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 2.0]),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    cands=st.lists(st.tuples(_probe_coord, _probe_coord), max_size=70),
+    v=st.sampled_from([0.0, -0.0, 0.5, -1.0]) | st.floats(-2.0, 2.0, allow_nan=False),
+    lam=st.sampled_from([0.5, 1.0, 2.0]),
+)
+def test_maximality_probe_matches_reference_property(cands, v, lam):
+    _assert_matches_reference(lam, v, 200, np.array(cands, dtype=float).reshape(-1, 2))
 
 
 def test_convergence_self_reference_decreases():
