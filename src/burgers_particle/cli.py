@@ -155,7 +155,9 @@ def parse_config(text: str) -> ExperimentConfig:
     try:
         seed = int(seed_raw)
     except ValueError:
-        raise ConfigError(f"line {seed_line}: seed must be an integer") from None
+        raise ConfigError(f"line {seed_line}: key 'seed' must be an integer") from None
+    if seed < 0:
+        raise ConfigError(f"line {seed_line}: key 'seed' must be nonnegative, got {seed}")
 
     snapshots: tuple[float, ...] = ()
     if "snapshots" in raw:
@@ -263,9 +265,7 @@ def cmd_run(cfg: ExperimentConfig, out_dir: Path) -> int:
     env = traj.env
     mom0 = traj.records[0].momentum
     lam = cfg.scheme.lam
-    L = lipschitz_bound(
-        cfg.scheme.bulk, cfg.scheme.iface, env.m, env.M, env.v_lo, env.v_hi, lam
-    )
+    L = lipschitz_bound(cfg.scheme.bulk, env.m, env.M, env.v_lo, env.v_hi, lam)
     u0_sup = max(abs(v) for v in cfg.u0.values)
     v_sup = max(abs(env.v_lo), abs(env.v_hi))
     accel_limit = (2.0 * L / cfg.scheme.m_p) * (u0_sup + lam + v_sup)

@@ -8,12 +8,12 @@ never mutate simulation state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from .flux import BulkFluxKind, InterfaceFluxKind, bulk_flux, interface_fluxes, lipschitz_bound
+from .flux import BulkFluxKind, InterfaceFluxKind, interface_fluxes, lipschitz_bound
 from .germ import GermRegion, classify, dist1_to_H, in_germ
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -213,6 +213,8 @@ def entropy_residual(
     Returns the residuals of all flux-updated cells (interior cells for a
     padded grid, every cell for a periodic one).
     """
+    from .scheme import face_fluxes
+
     grid, particle = prev
     grid2, _ = next
     if grid.u.shape != grid2.u.shape or grid.dx != grid2.dx:
@@ -224,23 +226,17 @@ def entropy_residual(
     p0 = grid.particle_index
     c_minus, c_plus = float(c[0]), float(c[1])
     c_arr = np.where(np.arange(n) <= p0, c_minus, c_plus)
-    top = np.maximum(u, c_arr)
-    bot = np.minimum(u, c_arr)
+    a, b = (0, n) if grid.periodic else (1, n - 1)
 
-    def g(a, b):
-        return bulk_flux(cfg.bulk, a, b, v)
+    def faces(w):
+        fm, fp = interface_fluxes(cfg.iface, cfg.bulk, w[p0], w[p0 + 1], v, cfg.lam)
+        return face_fluxes(grid, w, a, b, v, fm, fp, cfg.bulk)
 
-    def g_pm(a0, b0):
-        return interface_fluxes(cfg.iface, cfg.bulk, a0, b0, v, cfg.lam)
-
-    gm_top, gp_top = g_pm(top[p0], top[p0 + 1])
-    gm_bot, gp_bot = g_pm(bot[p0], bot[p0 + 1])
-    G_minus_half = gm_top - gm_bot
-    G_plus_half = gp_top - gp_bot
+    left_top, right_top = faces(np.maximum(u, c_arr))
+    left_bot, right_bot = faces(np.minimum(u, c_arr))
 
     L_c = lipschitz_bound(
         cfg.bulk,
-        cfg.iface,
         min(float(u.min()), c_minus, c_plus),
         max(float(u.max()), c_minus, c_plus),
         v,
@@ -249,35 +245,13 @@ def entropy_residual(
     )
     A = 2.0 * L_c + 2.0 / mu
     dist = dist1_to_H((c_minus, c_plus), v, cfg.lam)
-
-    if grid.periodic:
-        G = g(top, np.roll(top, -1)) - g(bot, np.roll(bot, -1))
-        GR = G.copy()
-        GR[p0] = G_minus_half
-        GL = np.roll(G, 1)
-        GL[p0 + 1] = G_plus_half
-        cells = np.arange(n)
-    else:
-        G = g(top[:-1], top[1:]) - g(bot[:-1], bot[1:])
-        GR = np.empty(n)
-        GR[: n - 1] = G
-        GR[n - 1] = np.nan
-        GR[p0] = G_minus_half
-        GL = np.empty(n)
-        GL[1:] = G
-        GL[0] = np.nan
-        GL[p0 + 1] = G_plus_half
-        cells = np.arange(1, n - 1)
-
-    eps = np.zeros(n)
-    eps[p0] = 1.0
-    eps[p0 + 1] = 1.0
-    resid = (
-        (np.abs(u2 - c_arr) - np.abs(u - c_arr)) / dt
-        + (GR - GL) / grid.dx
+    eps = np.zeros(b - a)
+    eps[p0 - a : p0 - a + 2] = 1.0
+    return (
+        (np.abs(u2 - c_arr) - np.abs(u - c_arr))[a:b] / dt
+        + ((right_top - right_bot) - (left_top - left_bot)) / grid.dx
         - eps * (A / grid.dx) * dist
     )
-    return resid[cells]
 
 
 def dissipativity_probe(
@@ -549,7 +523,6 @@ def convergence_study(
     cfg: "SchemeConfig",
     levels: Sequence[float],
     reference=None,
-    dt_overrides: Sequence[float] | None = None,
 ) -> list[ConvergenceRow]:
     """Run the scheme on a ladder of mesh widths and report errors and orders.
 
@@ -572,12 +545,8 @@ def convergence_study(
 
     rows: list[ConvergenceRow] = []
     prev: ConvergenceRow | None = None
-    for i, dx in enumerate(levels):
-        if dt_overrides is not None:
-            run_cfg = replace(cfg, dt_override=dt_overrides[i])
-        else:
-            run_cfg = cfg
-        traj = scheme.run(u0, h0, v0, run_cfg, dx)
+    for dx in levels:
+        traj = scheme.run(u0, h0, v0, cfg, dx)
         err_u, err_h, err_v = _errors_against(traj, reference)
         order_u = order_h = None
         if prev is not None:

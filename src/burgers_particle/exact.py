@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import math
-
 import numpy as np
 
 from .germ import in_germ
@@ -50,18 +48,13 @@ class ParticleRiemannProblem:
 def germ2_exact(p: ParticleRiemannProblem, t: float):
     """Exact (h, h', u-profile) at time t for an admissible two-state datum.
 
-    h(t) = w*t + (v0 - w) * (m_p/du) * (1 - exp(-du*t/m_p)) with
-    w = (u_minus + u_plus)/2 and du = u_minus - u_plus.  The returned profile
-    is a callable x -> u(t, x).  The trace pair is checked to stay admissible
-    at the current particle speed.
+    h and h' are ``germ2_path``'s closed form.  The returned profile is a
+    callable x -> u(t, x).  The trace pair is checked to stay admissible at
+    the current particle speed.
     """
     if t < 0.0:
         raise ValueError(f"time must be nonnegative, got {t}")
-    w = p.mean_state
-    du = p.u_minus - p.u_plus
-    decay = math.exp(-du * t / p.m_p)
-    h = w * t + (p.v0 - w) * (p.m_p / du) * (1.0 - decay)
-    hprime = w + (p.v0 - w) * decay
+    h, hprime = (float(x) for x in germ2_path(p, t))
     if not in_germ((p.u_minus, p.u_plus), hprime, p.lam, tol=1e-9):
         raise RuntimeError(
             f"trace pair left the admissible set at t={t} (speed {hprime})"
@@ -74,7 +67,9 @@ def germ2_exact(p: ParticleRiemannProblem, t: float):
 
 
 def germ2_path(p: ParticleRiemannProblem, times) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized (h(t), h'(t)) over an array of times (for error tables)."""
+    """Vectorized (h(t), h'(t)) over an array of times (for error tables):
+    h(t) = w*t + (v0 - w) * (m_p/du) * (1 - exp(-du*t/m_p)) with
+    w = (u_minus + u_plus)/2 and du = u_minus - u_plus."""
     t = np.asarray(times, dtype=float)
     w = p.mean_state
     du = p.u_minus - p.u_plus

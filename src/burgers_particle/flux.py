@@ -13,12 +13,15 @@ same jump between their arguments.  The Rusanov pair also shares one speed,
 so its stabilization terms cancel in the drag g_minus - g_plus, which stays
 nondecreasing in both traces (see ``interface_fluxes``).
 
-Everything accepts scalars or numpy arrays (broadcasting).  Calls whose
-states and speed are all floats take pure-float kernels: the same operations
-in the same order with ``min``/``max`` and conditionals, so they return the
-bits the array kernels would, at a fraction of the cost of numpy on 0-d
-values.  A time step makes a few such calls (the particle interface and the
-window edges), the implicit velocity solve a dozen more.
+Everything accepts scalars or numpy arrays (broadcasting).  Each flux is
+one kernel written with ``maximum``, ``minimum`` and ``abs`` alone: calls
+whose states and speed are all floats pass two-float versions of the
+builtins ``max``/``min``, which cost a fraction of numpy on 0-d values, and
+any other call passes ``np.maximum``/``np.minimum``.  The kernels do the
+same operations in the same order either way, so a float call returns the
+bits of the same state in an array call.  A time step makes a few float
+calls (the particle interface and the window edges), the implicit velocity
+solve a dozen more.
 """
 
 from __future__ import annotations
@@ -45,45 +48,26 @@ def f_v(u, v):
     return 0.5 * d * d - 0.5 * v * v
 
 
-def _godunov(a, b, v):
-    # Exact Riemann flux of the convex f_v: interval minimum for rarefactions
-    # (a <= b, attained at the sonic point when it is inside), endpoint
-    # maximum for shocks (a > b).
-    sonic = np.clip(v, np.minimum(a, b), np.maximum(a, b))
-    rare = f_v(sonic, v)
-    shock = np.maximum(f_v(a, v), f_v(b, v))
-    return np.where(a <= b, rare, shock)
+def _godunov(a, b, v, maximum, minimum):
+    # Exact Riemann flux of the convex f_v in closed form (LeVeque 2002,
+    # ch. 12): max(f_v(max(a, v)), f_v(min(b, v))).  f_v is symmetric about
+    # v and its rounded value never decreases with the distance from v, so
+    # this is f_v's arithmetic on the larger of the two clamped distances.
+    d = maximum(maximum(a, v) - v, v - minimum(b, v))
+    return 0.5 * d * d - 0.5 * v * v
 
 
-def _rusanov(a, b, v, s=None):
+def _rusanov(a, b, v, maximum, minimum, s=None):
     # ``s`` overrides the local speed max(|a-v|, |b-v|); the interface pair
     # passes one speed shared by both of its fluxes.
     if s is None:
-        s = np.maximum(np.abs(a - v), np.abs(b - v))
+        s = maximum(abs(a - v), abs(b - v))
     return 0.5 * (f_v(a, v) + f_v(b, v)) - 0.5 * s * (b - a)
 
 
-def _engquist_osher(a, b, v):
-    up = np.maximum(a - v, 0.0)
-    dn = np.minimum(b - v, 0.0)
-    return f_v(v, v) + 0.5 * up * up + 0.5 * dn * dn
-
-
-def _godunov_float(a, b, v):
-    if a <= b:
-        return f_v(min(max(v, a), b), v)
-    return max(f_v(a, v), f_v(b, v))
-
-
-def _rusanov_float(a, b, v, s=None):
-    if s is None:
-        s = max(abs(a - v), abs(b - v))
-    return 0.5 * (f_v(a, v) + f_v(b, v)) - 0.5 * s * (b - a)
-
-
-def _engquist_osher_float(a, b, v):
-    up = max(a - v, 0.0)
-    dn = min(b - v, 0.0)
+def _engquist_osher(a, b, v, maximum, minimum):
+    up = maximum(a - v, 0.0)
+    dn = minimum(b - v, 0.0)
     return f_v(v, v) + 0.5 * up * up + 0.5 * dn * dn
 
 
@@ -93,22 +77,28 @@ _BULK = {
     BulkFluxKind.ENGQUIST_OSHER: _engquist_osher,
 }
 
-_BULK_FLOAT = {
-    BulkFluxKind.GODUNOV: _godunov_float,
-    BulkFluxKind.RUSANOV: _rusanov_float,
-    BulkFluxKind.ENGQUIST_OSHER: _engquist_osher_float,
-}
+
+def _max(x, y):
+    # builtin max(x, y), without the cost of its iterable handling
+    return y if y > x else x
 
 
-def _floats(a, b, v) -> bool:
-    return isinstance(a, float) and isinstance(b, float) and isinstance(v, float)
+def _min(x, y):
+    return y if y < x else x
+
+
+def _max_min(a, b, v):
+    """The (maximum, minimum) pair for these arguments: two-float builtins
+    when all three are floats, numpy ufuncs otherwise."""
+    if isinstance(a, float) and isinstance(b, float) and isinstance(v, float):
+        return _max, _min
+    return np.maximum, np.minimum
 
 
 def bulk_flux(kind: BulkFluxKind, a, b, v):
     """Two-point numerical flux between states a (left) and b (right)."""
-    if _floats(a, b, v):
-        return _BULK_FLOAT[kind](a, b, v)
-    return _BULK[kind](a, b, v)
+    maximum, minimum = _max_min(a, b, v)
+    return _BULK[kind](a, b, v, maximum, minimum)
 
 
 def interface_fluxes(kind: InterfaceFluxKind, bulk: BulkFluxKind, a, b, v, lam: float):
@@ -139,10 +129,8 @@ def interface_fluxes(kind: InterfaceFluxKind, bulk: BulkFluxKind, a, b, v, lam: 
     or a jump that differs between the two fluxes, leaves a viscous
     remainder in the drag that decreases in spots.
     """
-    if _floats(a, b, v):
-        minimum, maximum, g = min, max, _BULK_FLOAT[bulk]
-    else:
-        minimum, maximum, g = np.minimum, np.maximum, _BULK[bulk]
+    maximum, minimum = _max_min(a, b, v)
+    g = _BULK[bulk]
     if kind is InterfaceFluxKind.G1_ONLY:
         b_sh = b + lam
         a_sh = a - lam
@@ -154,13 +142,12 @@ def interface_fluxes(kind: InterfaceFluxKind, bulk: BulkFluxKind, a, b, v, lam: 
             maximum(abs(a - v), abs(b + lam - v)),
             maximum(abs(a - lam - v), abs(b - v)),
         )
-        return g(a, b_sh, v, s), g(a_sh, b, v, s)
-    return g(a, b_sh, v), g(a_sh, b, v)
+        return g(a, b_sh, v, maximum, minimum, s), g(a_sh, b, v, maximum, minimum, s)
+    return g(a, b_sh, v, maximum, minimum), g(a_sh, b, v, maximum, minimum)
 
 
 def lipschitz_bound(
     bulk: BulkFluxKind,
-    iface: InterfaceFluxKind,
     m: float,
     M: float,
     v_lo: float,

@@ -267,11 +267,12 @@ class Trajectory:
     boundary_flux: np.ndarray
 
 
-def _effective_mu(cfg: SchemeConfig, env: BoundsEnvelope, dx: float) -> float:
-    if cfg.dt_override is not None:
-        return cfg.dt_override / dx
-    L = lipschitz_bound(cfg.bulk, cfg.iface, env.m, env.M, env.v_lo, env.v_hi, cfg.lam)
-    return cfg.mu if L == 0.0 else min(cfg.mu, 0.5 / L)
+def _effective_mu(cfg: SchemeConfig, env: BoundsEnvelope) -> tuple[float, float]:
+    """Mesh ratio allowed by the CFL condition L*mu <= 1/2, and L."""
+    L = lipschitz_bound(cfg.bulk, env.m, env.M, env.v_lo, env.v_hi, cfg.lam)
+    if not math.isfinite(L):
+        raise ValueError("non-finite Lipschitz bound")
+    return (cfg.mu if L == 0.0 else min(cfg.mu, 0.5 / L)), L
 
 
 def init_state(
@@ -304,7 +305,10 @@ def init_state(
         n_left = n_right = m_c
         j_min = 1 - m_c
     else:
-        mu_eff = _effective_mu(cfg, env, dx)
+        if cfg.dt_override is not None:
+            mu_eff = cfg.dt_override / dx
+        else:
+            mu_eff = _effective_mu(cfg, env)[0]
         # Three times the influence length, plus a few cells so no datum
         # feature starts inside the boundary guard zone.
         pad = 3.0 * cfg.T / mu_eff + 6.0 * dx
@@ -336,36 +340,33 @@ def compute_dt(
 ) -> float:
     """Largest time step honoring the CFL condition L*mu <= 1/2 and, for the
     explicit velocity update, the mass condition 4*L*dt/m_p <= 1."""
-    L = lipschitz_bound(cfg.bulk, cfg.iface, env.m, env.M, env.v_lo, env.v_hi, cfg.lam)
-    if not math.isfinite(L):
-        raise ValueError("non-finite Lipschitz bound")
-    mu_eff = cfg.mu if L == 0.0 else min(cfg.mu, 0.5 / L)
+    mu_eff, L = _effective_mu(cfg, env)
     dt = mu_eff * grid.dx
     if cfg.velocity_update is VelocityUpdate.EXPLICIT and L > 0.0:
         dt = min(dt, particle.m_p / (4.0 * L))
     return dt
 
 
-def _flux_update(
-    ext: np.ndarray,
-    k: int,
-    v_flux: float,
-    mu_step: float,
-    fm: float,
-    fp: float,
-    cfg: SchemeConfig,
-) -> np.ndarray:
-    """Updated values of the cells ext[1:-1], whose neighbors ext[0] and
-    ext[-1] only supply fluxes.  Cells k and k + 1 (counted from ext[1]) are
-    the particle cells: the interface pair fm, fp replaces the bulk flux
-    between them."""
-    F = bulk_flux(cfg.bulk, ext[:-1], ext[1:], v_flux)
-    right, left = F[1:], F[:-1]
-    cells = ext[1:-1]
-    out = cells - mu_step * (right - left)
-    out[k] = cells[k] - mu_step * (fm - left[k])
-    out[k + 1] = cells[k + 1] - mu_step * (right[k + 1] - fp)
-    return out
+def face_fluxes(
+    grid: FluidGrid, w: np.ndarray, a: int, b: int,
+    v_flux: float, fm: float, fp: float, bulk: BulkFluxKind,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Fluxes through the left and right faces of the cells w[a:b], for cell
+    values w on the mesh of ``grid``.
+
+    The bulk flux at v_flux fills every face except the one between the
+    particle cells, where the interface pair stands: fm is the right face of
+    the cell left of the particle and fp the left face of the cell right of
+    it.  A padded grid reads the neighbors w[a - 1] and w[b]; a periodic grid
+    passes a, b = 0, n and wraps around.
+    """
+    ext = np.concatenate((w[-1:], w, w[:1])) if grid.periodic else w[a - 1 : b + 1]
+    F = bulk_flux(bulk, ext[:-1], ext[1:], v_flux)
+    left, right = F[:-1], F[1:].copy()
+    k = grid.particle_index - a
+    right[k] = fm
+    left[k + 1] = fp
+    return left, right
 
 
 def _fluid_update(
@@ -385,13 +386,14 @@ def _fluid_update(
     p0 = grid.particle_index
     mu_step = dt / grid.dx
     if grid.periodic:
-        ext = np.concatenate((u[-1:], u, u[:1]))
-        return _flux_update(ext, p0, v_flux, mu_step, fm, fp, cfg), 0, n, 0.0
+        left, right = face_fluxes(grid, u, 0, n, v_flux, fm, fp, cfg.bulk)
+        return u - mu_step * (right - left), 0, n, 0.0
     # Cells a .. b-1 are updated; the outermost cells copy their neighbor
     # afterwards.
     a, b = max(grid.lo - 1, 1), min(grid.hi + 1, n - 1)
     u_new = u.copy()
-    u_new[a:b] = _flux_update(u[a - 1 : b + 1], p0 - a, v_flux, mu_step, fm, fp, cfg)
+    left, right = face_fluxes(grid, u, a, b, v_flux, fm, fp, cfg.bulk)
+    u_new[a:b] = u[a:b] - mu_step * (right - left)
     # Guard: the two flux-updated cells next to each boundary must stay
     # untouched, otherwise the padding was too narrow for this run.
     if (

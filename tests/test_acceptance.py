@@ -151,7 +151,7 @@ def test_criterion_03_a_priori_bounds():
         bulk, iface = combos[run_idx % 6]
         dx = 0.05
         env = bounds_envelope(u0, v0, lam)
-        L = lipschitz_bound(bulk, iface, env.m, env.M, env.v_lo, env.v_hi, lam)
+        L = lipschitz_bound(bulk, env.m, env.M, env.v_lo, env.v_hi, lam)
         probe_cfg = SchemeConfig(lam=lam, mu=0.45, T=0.0, m_p=m_p, bulk=bulk, iface=iface)
         grid, part = init_state(u0, 0.0, v0, probe_cfg, dx)
         dt = compute_dt(grid, part, probe_cfg, env)
@@ -354,7 +354,7 @@ def test_criterion_09_order_preservation():
         m_p = [0.1, 1.0, 10.0][trial % 3]
         m, M = float(u_lo.min()), float(u_hi.max())
         vb_lo, vb_hi = min(m, v_lo), max(M, v_hi)
-        L = lipschitz_bound(BulkFluxKind.GODUNOV, InterfaceFluxKind.G1_ONLY, m, M, vb_lo, vb_hi, lam)
+        L = lipschitz_bound(BulkFluxKind.GODUNOV, m, M, vb_lo, vb_hi, lam)
         B3 = max(abs(m - lam), abs(M + lam), abs(vb_lo), abs(vb_hi))
         dt = 0.99 * min(0.5 * dx / L, m_p / (2.0 * B3), m_p / (4.0 * L))
         cfg = SchemeConfig(
@@ -380,9 +380,7 @@ def test_criterion_09_order_preservation():
 def test_criterion_10_implicit_variant():
     u0 = PiecewiseConstant.riemann(1.0, -1.0, 0.0)
     env = bounds_envelope(u0, 0.5, 1.0)
-    L = lipschitz_bound(
-        BulkFluxKind.GODUNOV, InterfaceFluxKind.MAX_GERM, env.m, env.M, env.v_lo, env.v_hi, 1.0
-    )
+    L = lipschitz_bound(BulkFluxKind.GODUNOV, env.m, env.M, env.v_lo, env.v_hi, 1.0)
     m_p = 1e-3
     dt = 10.0 * m_p / (4.0 * L)  # mass condition violated tenfold
     cfg = SchemeConfig(

@@ -98,6 +98,14 @@ def test_non_finite_values_exit_2_naming_the_key(key, value, tmp_path, capsys):
     assert len(fail) == 1 and f"'{key}'" in fail[0]
 
 
+def test_negative_seed_exits_2_naming_the_key(tmp_path, capsys):
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(MINIMAL + "seed = -1\n", encoding="utf-8")
+    assert main(["probe-germ", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    out = capsys.readouterr().out
+    assert out == "FAIL check=config_parse value=line 10: key 'seed' must be nonnegative, got -1\n"
+
+
 def _old_fmt(x) -> str:
     # The per-value formatter every CSV cell used to go through.
     if isinstance(x, (bool, np.bool_)):

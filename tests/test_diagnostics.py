@@ -23,9 +23,16 @@ from burgers_particle.diagnostics import (
     total_variation,
 )
 from burgers_particle.exact import ParticleRiemannProblem
-from burgers_particle.flux import BulkFluxKind, InterfaceFluxKind
-from burgers_particle.germ import GermRegion, classify, in_germ
+from burgers_particle.flux import (
+    BulkFluxKind,
+    InterfaceFluxKind,
+    bulk_flux,
+    interface_fluxes,
+    lipschitz_bound,
+)
+from burgers_particle.germ import GermRegion, classify, dist1_to_H, in_germ
 from burgers_particle.scheme import (
+    Domain,
     FluidGrid,
     ParticleState,
     PiecewiseConstant,
@@ -203,6 +210,84 @@ def test_entropy_residual_admissible_reference(rng):
         r = entropy_residual(prev, nxt, cfg, dt, c)
         worst = max(worst, float(r.max()))
     assert worst <= 1e-10
+
+
+def _assembled_entropy_residual(prev, next, cfg, dt, c):
+    # entropy_residual as it was before it shared the scheme's face fluxes:
+    # its own padded and periodic flux assembly.  The reference for the
+    # residual bits.
+    grid, particle = prev
+    u, u2 = grid.u, next[0].u
+    n = u.shape[0]
+    v = particle.v
+    mu = dt / grid.dx
+    p0 = grid.particle_index
+    c_minus, c_plus = float(c[0]), float(c[1])
+    c_arr = np.where(np.arange(n) <= p0, c_minus, c_plus)
+    top = np.maximum(u, c_arr)
+    bot = np.minimum(u, c_arr)
+
+    def g(a, b):
+        return bulk_flux(cfg.bulk, a, b, v)
+
+    def g_pm(a0, b0):
+        return interface_fluxes(cfg.iface, cfg.bulk, a0, b0, v, cfg.lam)
+
+    gm_top, gp_top = g_pm(top[p0], top[p0 + 1])
+    gm_bot, gp_bot = g_pm(bot[p0], bot[p0 + 1])
+    L_c = lipschitz_bound(
+        cfg.bulk,
+        min(float(u.min()), c_minus, c_plus),
+        max(float(u.max()), c_minus, c_plus),
+        v,
+        v,
+        cfg.lam,
+    )
+    A = 2.0 * L_c + 2.0 / mu
+    dist = dist1_to_H((c_minus, c_plus), v, cfg.lam)
+    if grid.periodic:
+        G = g(top, np.roll(top, -1)) - g(bot, np.roll(bot, -1))
+        GR = G.copy()
+        GR[p0] = gm_top - gm_bot
+        GL = np.roll(G, 1)
+        GL[p0 + 1] = gp_top - gp_bot
+        cells = np.arange(n)
+    else:
+        G = g(top[:-1], top[1:]) - g(bot[:-1], bot[1:])
+        GR = np.empty(n)
+        GR[: n - 1] = G
+        GR[n - 1] = np.nan
+        GR[p0] = gm_top - gm_bot
+        GL = np.empty(n)
+        GL[1:] = G
+        GL[0] = np.nan
+        GL[p0 + 1] = gp_top - gp_bot
+        cells = np.arange(1, n - 1)
+    eps = np.zeros(n)
+    eps[p0] = 1.0
+    eps[p0 + 1] = 1.0
+    resid = (
+        (np.abs(u2 - c_arr) - np.abs(u - c_arr)) / dt
+        + (GR - GL) / grid.dx
+        - eps * (A / grid.dx) * dist
+    )
+    return resid[cells]
+
+
+@pytest.mark.parametrize("periodic", [False, True])
+@pytest.mark.parametrize("iface", list(InterfaceFluxKind))
+@pytest.mark.parametrize("bulk", list(BulkFluxKind))
+def test_entropy_residual_bits_match_its_own_flux_assembly(bulk, iface, periodic, rng):
+    domain = dict(domain=Domain.PERIODIC, half_width=2.0) if periodic else {}
+    cfg = SchemeConfig(lam=1.0, mu=0.4, T=0.1, m_p=1.0, bulk=bulk, iface=iface, **domain)
+    for k in range(6):
+        u0 = random_piecewise(rng)
+        v0 = float(rng.uniform(-1, 1))
+        prev, nxt, dt, env = _single_step(u0, v0, cfg)
+        t = float(rng.uniform(env.m, env.M))
+        c = [(t, t), (t, t - 1.0), (t, float(rng.uniform(env.m, env.M)))][k % 3]
+        got = entropy_residual(prev, nxt, cfg, dt, c)
+        assert got.tobytes() == _assembled_entropy_residual(prev, nxt, cfg, dt, c).tobytes()
 
 
 def test_entropy_residual_rejects_mismatched_grids():

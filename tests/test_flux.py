@@ -1,8 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from burgers_particle import flux
 from burgers_particle.diagnostics import dissipativity_probe
 from burgers_particle.flux import (
     BulkFluxKind,
@@ -164,28 +166,28 @@ def test_reflection_symmetry(kind, rng):
 
 
 def test_lipschitz_examples():
-    god, mg = BulkFluxKind.GODUNOV, InterfaceFluxKind.MAX_GERM
-    assert lipschitz_bound(god, mg, -1, 1, -1, 1, 1) == 3.0
-    assert lipschitz_bound(god, mg, 0, 0, 0, 0, 1) == 1.0
-    small = lipschitz_bound(god, mg, 0.3, 0.3, -0.2, -0.2, 1e-3)
+    god = BulkFluxKind.GODUNOV
+    assert lipschitz_bound(god, -1, 1, -1, 1, 1) == 3.0
+    assert lipschitz_bound(god, 0, 0, 0, 0, 1) == 1.0
+    small = lipschitz_bound(god, 0.3, 0.3, -0.2, -0.2, 1e-3)
     assert small >= abs(0.3 - (-0.2)) + 1e-3 - 1e-15
 
 
 def test_lipschitz_rejects_bad_bounds():
-    god, mg = BulkFluxKind.GODUNOV, InterfaceFluxKind.MAX_GERM
+    god = BulkFluxKind.GODUNOV
     with pytest.raises(ValueError):
-        lipschitz_bound(god, mg, 1, -1, 0, 0, 1)
+        lipschitz_bound(god, 1, -1, 0, 0, 1)
     with pytest.raises(ValueError):
-        lipschitz_bound(god, mg, 0, 0, 1, -1, 1)
+        lipschitz_bound(god, 0, 0, 1, -1, 1)
     with pytest.raises(ValueError):
-        lipschitz_bound(god, mg, 0, math.nan, 0, 0, 1)
+        lipschitz_bound(god, 0, math.nan, 0, 0, 1)
 
 
 @pytest.mark.parametrize("iface", IFACES)
 @pytest.mark.parametrize("kind", BULKS)
 def test_lipschitz_dominates_sampled_slopes(iface, kind, rng):
     m, M, v_lo, v_hi, lam = -1.0, 1.0, -1.0, 1.0, 1.0
-    L = lipschitz_bound(kind, iface, m, M, v_lo, v_hi, lam)
+    L = lipschitz_bound(kind, m, M, v_lo, v_hi, lam)
     a = rng.uniform(m - lam, M + lam, size=3000)
     b = rng.uniform(m - lam, M + lam, size=3000)
     v = rng.uniform(v_lo, v_hi, size=3000)
@@ -210,8 +212,8 @@ def test_rusanov_slopes_exceed_wave_speed(rng):
     # The bulk flux's local-speed stabilization contributes |a - b|/2 on top
     # of the wave speed, so the plain wave bound would undershoot; the
     # returned bound carries the factor two.
-    god = lipschitz_bound(BulkFluxKind.GODUNOV, InterfaceFluxKind.MAX_GERM, -1, 1, -1, 1, 1)
-    rus = lipschitz_bound(BulkFluxKind.RUSANOV, InterfaceFluxKind.MAX_GERM, -1, 1, -1, 1, 1)
+    god = lipschitz_bound(BulkFluxKind.GODUNOV, -1, 1, -1, 1, 1)
+    rus = lipschitz_bound(BulkFluxKind.RUSANOV, -1, 1, -1, 1, 1)
     assert rus == 2 * god
     a, b, v = 2.0, -2.0, -1.0
     eps = 1e-7
@@ -268,12 +270,25 @@ def _bits(x) -> bytes:
     return np.float64(x).tobytes()
 
 
+def _clip_where_godunov(a, b, v):
+    # The Godunov kernel written case by case (sonic point clipped into the
+    # interval for rarefactions, larger endpoint flux for shocks): the
+    # reference for the closed form max(f_v(max(a, v)), f_v(min(b, v))).
+    sonic = np.clip(v, np.minimum(a, b), np.maximum(a, b))
+    return np.where(a <= b, f_v(sonic, v), np.maximum(f_v(a, v), f_v(b, v)))
+
+
 def test_float_path_matches_array_path_bit_for_bit():
-    # Scalar float calls take the pure-float kernels; they must return the
-    # bits of the array kernels on the same states, including ties (a == b),
-    # sonic points (v equal to a trace) and signed zeros.
+    # Each kernel runs on two-float versions of the builtins max/min for
+    # float calls and on np.maximum/np.minimum for arrays; both must return
+    # the same bits, and Godunov's closed form the bits of the case-by-case
+    # kernel, including on ties (a == b), sonic points (v equal to a trace),
+    # signed zeros and subnormals.
     rng = np.random.default_rng(7)
-    pool = np.array([-2.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 1.5])
+    pool = np.array([-2.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 1.5, 5e-324, -5e-324])
+    for x, y in itertools.product(pool.tolist(), repeat=2):
+        assert _bits(flux._max(x, y)) == _bits(max(x, y))
+        assert _bits(flux._min(x, y)) == _bits(min(x, y))
     n = 3000
 
     def draw():
@@ -287,6 +302,8 @@ def test_float_path_matches_array_path_bit_for_bit():
     lams = rng.choice([0.5, 1.0, 2.0], n)
     on_line = rng.random(n) < 0.1  # b = a - lam: the line G1
     b[on_line] = a[on_line] - lams[on_line]
+    godunov = bulk_flux(BulkFluxKind.GODUNOV, a, b, v)
+    assert godunov.tobytes() == _clip_where_godunov(a, b, v).tobytes()
     for kind in BULKS:
         whole = bulk_flux(kind, a, b, v)
         for k in range(n):

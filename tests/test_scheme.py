@@ -472,8 +472,7 @@ def test_implicit_light_particle_stays_bounded():
     env = bounds_envelope(u0, 0.5, 1.0)
     from burgers_particle.flux import lipschitz_bound
 
-    L = lipschitz_bound(BulkFluxKind.GODUNOV, InterfaceFluxKind.MAX_GERM,
-                        env.m, env.M, env.v_lo, env.v_hi, 1.0)
+    L = lipschitz_bound(BulkFluxKind.GODUNOV, env.m, env.M, env.v_lo, env.v_hi, 1.0)
     dt = 10.0 * 1e-3 / (4.0 * L)  # ten times the explicit mass limit
     cfg = base_cfg(T=100 * dt, m_p=1e-3, velocity_update=VelocityUpdate.IMPLICIT,
                    dt_override=dt)
