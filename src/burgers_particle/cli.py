@@ -77,7 +77,7 @@ class ExperimentConfig:
     @property
     def dx(self) -> float:
         if len(self.dx_levels) != 1:
-            raise ConfigError("this command needs a single dx value")
+            raise ConfigError("key 'dx' must be a single value for this command")
         return self.dx_levels[0]
 
 
@@ -198,6 +198,8 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError("key 'dx' must list positive values")
     if any(t < 0 or t > T for t in snapshots):
         raise ConfigError("key 'snapshots' times must lie in [0, T]")
+    if half_width is not None and domain is not Domain.PERIODIC:
+        raise ConfigError("key 'half_width' applies only to domain = periodic")
 
     try:
         scheme_cfg = SchemeConfig(

@@ -21,7 +21,7 @@ any other call passes ``np.maximum``/``np.minimum``.  The kernels do the
 same operations in the same order either way, so a float call returns the
 bits of the same state in an array call.  A time step makes a few float
 calls (the particle interface and the window edges), the implicit velocity
-solve a dozen more.
+solve about four more.
 """
 
 from __future__ import annotations

@@ -415,7 +415,14 @@ def _fluid_update(
     return u_new, lo, hi, leak
 
 
-def _require_stencil(grid: FluidGrid):
+def _step(
+    grid: FluidGrid, particle: ParticleState, cfg: SchemeConfig, dt: float, implicit: bool
+) -> tuple[FluidGrid, ParticleState]:
+    """One step with every flux at the flux speed w: v^n, or for an implicit
+    step the root of the velocity equation.  The velocity update conserves
+    momentum with the interface pair at w; the mesh shifts by v^n."""
+    if dt <= 0.0:
+        raise ValueError(f"time step must be positive, got dt={dt}")
     p0 = grid.particle_index
     if grid.periodic:
         if p0 < 1 or grid.n - (p0 + 1) < 1:
@@ -423,116 +430,89 @@ def _require_stencil(grid: FluidGrid):
     elif p0 < 3 or grid.n - (p0 + 2) < 3:
         # keep the particle cells clear of the boundary guard zone
         raise ValueError("need at least 3 cells on each side of the particle")
-
-
-def _advance(
-    grid: FluidGrid,
-    particle: ParticleState,
-    cfg: SchemeConfig,
-    dt: float,
-    v_flux: float,
-    fm: float,
-    fp: float,
-) -> tuple[FluidGrid, ParticleState]:
-    """Fluid update at v_flux, momentum-conserving velocity update, and the
-    mesh shift by v^n shared by both steps."""
-    u_new, lo, hi, leak = _fluid_update(grid, v_flux, dt, fm, fp, cfg)
+    u0, u1 = float(grid.u[p0]), float(grid.u[p0 + 1])
     v = particle.v
+    w = _solve_implicit_velocity(u0, u1, particle, cfg, dt) if implicit else v
+    fm, fp = interface_fluxes(cfg.iface, cfg.bulk, u0, u1, w, cfg.lam)
+    fm, fp = float(fm), float(fp)
+    u_new, lo, hi, leak = _fluid_update(grid, w, dt, fm, fp, cfg)
     new_grid = FluidGrid(
-        u=u_new,
-        dx=grid.dx,
-        left_edge=grid.left_edge + v * dt,
-        j_min=grid.j_min,
-        periodic=grid.periodic,
-        lo=lo,
-        hi=hi,
-        leak=leak,
+        u=u_new, dx=grid.dx, left_edge=grid.left_edge + v * dt, j_min=grid.j_min,
+        periodic=grid.periodic, lo=lo, hi=hi, leak=leak,
     )
     v_new = v + (dt / particle.m_p) * (fm - fp)
     return new_grid, ParticleState(h=particle.h + v * dt, v=v_new, m_p=particle.m_p)
 
 
 def step(
-    grid: FluidGrid,
-    particle: ParticleState,
-    cfg: SchemeConfig,
-    dt: float,
+    grid: FluidGrid, particle: ParticleState, cfg: SchemeConfig, dt: float
 ) -> tuple[FluidGrid, ParticleState]:
     """One explicit step: fluxes and velocity update evaluated at v^n."""
-    if dt <= 0.0:
-        raise ValueError(f"time step must be positive, got dt={dt}")
-    _require_stencil(grid)
-    u = grid.u
-    p0 = grid.particle_index
-    v = particle.v
-    fm, fp = interface_fluxes(
-        cfg.iface, cfg.bulk, float(u[p0]), float(u[p0 + 1]), v, cfg.lam
-    )
-    return _advance(grid, particle, cfg, dt, v, float(fm), float(fp))
+    return _step(grid, particle, cfg, dt, False)
+
+
+def step_implicit(
+    grid: FluidGrid, particle: ParticleState, cfg: SchemeConfig, dt: float
+) -> tuple[FluidGrid, ParticleState]:
+    """One implicit step: all fluxes at v^{n+1}; the mesh still shifts by v^n."""
+    return _step(grid, particle, cfg, dt, True)
 
 
 def _solve_implicit_velocity(
     u0: float, u1: float, particle: ParticleState, cfg: SchemeConfig, dt: float
 ) -> float:
-    """Root of w - v^n - (dt/m_p) * (g_minus - g_plus)(u0, u1, w).
+    """Root w of r(w) = w - v^n - (dt/m_p) * (g_minus - g_plus)(u0, u1, w).
 
-    A short damped fixed-point iteration handles the contractive (heavy
-    particle) case; otherwise bisection on a bracket spanning the reachable
-    velocities, which is unconditionally convergent.
+    The root lies in [lo, hi] = [min(u0, u1, v^n) - lam, max(u0, u1, v^n) + lam].
+    At w = lo every trace is at least w + lam, so each flux of the pair is
+    upwinded from the left, and the MAX_GERM substitution reduces to the
+    G1_ONLY shifts u1 + lam and u0 - lam.  The drag is then f_w(u0) -
+    f_w(u0 - lam) (averaged with f_w(u1 + lam) - f_w(u1) for Rusanov), >= 0
+    since f_w increases right of w, so r(lo) <= lo - v^n <= -lam < 0.  At
+    w = hi every flux is upwinded from the right and r(hi) >= lam > 0.
+
+    Regula falsi on that bracket, with the Illinois rule (Dowell and Jarratt,
+    BIT 1971): an end kept twice in a row has its secant weight halved.  When
+    two evaluations together fail to halve the bracket, as at a root on a
+    kink between a steep and a flat piece of r, the midpoint comes next.  The
+    solve returns w once |r| is within its rounding bound 4*eps*(|w| + |v^n|
+    + (dt/m_p)*(|g_minus| + |g_plus|)); when no float lies strictly inside
+    the bracket, or the rounded r(lo), r(hi) do not straddle 0, it returns
+    the end with the smaller |r|.  Each evaluation lies strictly inside the
+    bracket and replaces one end, so the loop always ends.
     """
     v_n = particle.v
     scale = dt / particle.m_p
+    eps4 = 4.0 * np.finfo(float).eps
 
-    def drag(w: float) -> float:
+    def resid(w: float) -> tuple[float, float]:
         gm, gp = interface_fluxes(cfg.iface, cfg.bulk, u0, u1, w, cfg.lam)
-        return float(gm) - float(gp)
-
-    def resid(w: float) -> float:
-        return w - v_n - scale * drag(w)
-
-    w = v_n
-    for _ in range(8):
-        w = 0.5 * (w + (v_n + scale * drag(w)))
-    if abs(resid(w)) <= 1e-12:
-        return w
+        return w - v_n - scale * (gm - gp), eps4 * (abs(w) + abs(v_n) + scale * (abs(gm) + abs(gp)))
 
     lo = min(u0, u1, v_n) - cfg.lam
     hi = max(u0, u1, v_n) + cfg.lam
-    r_lo, r_hi = resid(lo), resid(hi)
-    if r_lo > 0.0 or r_hi < 0.0:
-        width = hi - lo
-        lo, hi = lo - width, hi + width
-        r_lo, r_hi = resid(lo), resid(hi)
-        if r_lo > 0.0 or r_hi < 0.0:
-            raise RuntimeError("implicit velocity equation is not bracketed")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        r_mid = resid(mid)
-        if r_mid == 0.0 or hi - lo <= 1e-13:
-            return mid
-        if (r_mid > 0.0) == (r_hi > 0.0):
-            hi, r_hi = mid, r_mid
+    (r_lo, _), (r_hi, _) = resid(lo), resid(hi)
+    f_lo, f_hi, side = r_lo, r_hi, 0  # secant weights; the end kept last
+    before = last = math.inf  # bracket widths before the last two evaluations
+    while r_lo < 0.0 < r_hi:
+        w = lo + (hi - lo) * (f_lo / (f_lo - f_hi))
+        if not lo < w < hi or hi - lo > 0.5 * before:
+            w = 0.5 * (lo + hi)
+            if not lo < w < hi:
+                break
+        r, bound = resid(w)
+        if abs(r) <= bound:
+            return w
+        before, last = last, hi - lo
+        if r < 0.0:
+            lo, r_lo, f_lo = w, r, r
+            f_hi *= 0.5 if side < 0 else 1.0
+            side = -1
         else:
-            lo, r_lo = mid, r_mid
-    raise RuntimeError("implicit velocity solve did not converge in 200 bisections")
-
-
-def step_implicit(
-    grid: FluidGrid,
-    particle: ParticleState,
-    cfg: SchemeConfig,
-    dt: float,
-) -> tuple[FluidGrid, ParticleState]:
-    """One implicit step: all fluxes at v^{n+1}; the mesh still shifts by v^n."""
-    if dt <= 0.0:
-        raise ValueError(f"time step must be positive, got dt={dt}")
-    _require_stencil(grid)
-    u = grid.u
-    p0 = grid.particle_index
-    u0, u1 = float(u[p0]), float(u[p0 + 1])
-    w = _solve_implicit_velocity(u0, u1, particle, cfg, dt)
-    fm, fp = interface_fluxes(cfg.iface, cfg.bulk, u0, u1, w, cfg.lam)
-    return _advance(grid, particle, cfg, dt, w, float(fm), float(fp))
+            hi, r_hi, f_hi = w, r, r
+            f_lo *= 0.5 if side > 0 else 1.0
+            side = 1
+    return lo if abs(r_lo) <= abs(r_hi) else hi
 
 
 def run(

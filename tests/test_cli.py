@@ -70,6 +70,7 @@ values = 0, 1, 0
         ("mass = 0", "mass"),
         ("dx = 0.1\n", "duplicate"),
         ("snapshots = 2.0", "snapshots"),
+        ("half_width = 3", "half_width"),
     ],
 )
 def test_parse_rejections_name_the_key(line, fragment):
@@ -265,7 +266,7 @@ velocity_update = implicit
     assert len(body) > 10
 
 
-def test_main_exit_codes(tmp_path):
+def test_main_exit_codes(tmp_path, capsys):
     cfg_path = tmp_path / "exp.cfg"
     cfg_path.write_text(MINIMAL + "v0 = 0.5\n", encoding="utf-8")
     assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
@@ -273,6 +274,28 @@ def test_main_exit_codes(tmp_path):
     bad.write_text("mu = -1\n", encoding="utf-8")
     assert main(["run", str(bad), "--out", str(tmp_path / "out")]) == 2
     assert main(["run", str(tmp_path / "missing.cfg"), "--out", str(tmp_path)]) == 2
+    # run takes a single dx; a list parses (convergence needs one) and is
+    # refused when run reads it
+    two = tmp_path / "two.cfg"
+    two.write_text(MINIMAL.replace("dx = 0.1", "dx = 0.01, 0.005"), encoding="utf-8")
+    assert main(["run", str(two), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "FAIL check=execution value=key 'dx' must be a single value for this command"
+    )
+
+
+def test_implicit_run_at_a_velocity_near_1000_finishes(tmp_path):
+    # Float spacing exceeds 1e-13 from |w| = 512 on, so a solve that waits
+    # for an absolute bracket width of 1e-13 never ends here.
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(
+        "velocity_update = implicit\nlambda = 1\nmass = 0.002\nmu = 0.5\nT = 0.001\n"
+        "dx = 0.01\nbreakpoints = -0.05, 0, 0.05\nvalues = 1000, 1001.3, 998.4, 1000\n"
+        "v0 = 1000.5\n",
+        encoding="utf-8",
+    )
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "particle.csv").is_file()
 
 
 def test_run_gate_reports_a_record_out_of_bounds(tmp_path, monkeypatch, capsys):

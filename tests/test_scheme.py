@@ -12,7 +12,8 @@ from burgers_particle.diagnostics import (
     total_momentum,
     total_variation,
 )
-from burgers_particle.flux import BulkFluxKind, InterfaceFluxKind
+from burgers_particle import scheme
+from burgers_particle.flux import BulkFluxKind, InterfaceFluxKind, interface_fluxes
 from burgers_particle.scheme import (
     BoundaryGuardError,
     Domain,
@@ -465,6 +466,47 @@ def test_implicit_matches_explicit_to_second_order():
         _, pi = step_implicit(grid, part, cfg_i, dt)
         diffs.append(abs(pe.v - pi.v))
     assert 3.5 <= diffs[0] / diffs[1] <= 4.5
+
+
+def test_implicit_solve_brackets_and_ends_at_its_rounding_bound(monkeypatch):
+    # Every flux/family pair, state centres from 0 to 1e6 and dt/m_p from
+    # 1e-8 to 1e8: the bracket ends straddle the root, and the solve returns
+    # a point of the bracket whose residual is within its rounding bound, or
+    # an end of a bracket with no float inside, after at most 150 flux calls.
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return interface_fluxes(*args)
+
+    monkeypatch.setattr(scheme, "interface_fluxes", counted)
+    rng = np.random.default_rng(0)
+    eps4 = 4.0 * np.finfo(float).eps
+    for bulk in BULKS:
+        for iface in IFACES:
+            for centre in (0.0, 1.0, 1e3, 1e6):
+                for _ in range(50):
+                    lam, m_p, dt = (10.0 ** rng.uniform([-1, -8, -6], [1, 2, 0])).tolist()
+                    u0, u1, v = (centre * rng.choice([-1, 1]) + rng.uniform(-3, 3, 3)).tolist()
+                    cfg = base_cfg(lam=lam, m_p=m_p, bulk=bulk, iface=iface)
+
+                    def resid(w):
+                        gm, gp = interface_fluxes(iface, bulk, u0, u1, w, lam)
+                        bound = eps4 * (abs(w) + abs(v) + dt / m_p * (abs(gm) + abs(gp)))
+                        return w - v - dt / m_p * (gm - gp), bound
+
+                    lo, hi = min(u0, u1, v) - lam, max(u0, u1, v) + lam
+                    assert resid(lo)[0] < 0.0 < resid(hi)[0]
+                    calls[0] = 0
+                    w = scheme._solve_implicit_velocity(
+                        u0, u1, ParticleState(h=0.0, v=v, m_p=m_p), cfg, dt
+                    )
+                    assert calls[0] <= 150
+                    assert lo <= w <= hi
+                    r, bound = resid(w)
+                    if abs(r) > bound:  # collapsed: w is the better of two adjacent ends
+                        r_next = resid(math.nextafter(w, hi if r < 0.0 else lo))[0]
+                        assert r_next * r < 0.0 and abs(r) <= abs(r_next)
 
 
 def test_implicit_light_particle_stays_bounded():
