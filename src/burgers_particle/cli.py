@@ -174,13 +174,13 @@ def parse_config(text: str) -> ExperimentConfig:
     elif has_pieces:
         bp_raw, bp_line = need("breakpoints")
         val_raw, val_line = need("values")
+        bps = _parse_float_list("breakpoints", bp_raw, bp_line)
+        if any(b <= a for a, b in zip(bps, bps[1:])):
+            raise ConfigError(f"line {bp_line}: key 'breakpoints' must be strictly increasing")
         try:
-            u0 = PiecewiseConstant(
-                breakpoints=_parse_float_list("breakpoints", bp_raw, bp_line),
-                values=_parse_float_list("values", val_raw, val_line),
-            )
+            u0 = PiecewiseConstant(bps, _parse_float_list("values", val_raw, val_line))
         except ValueError as exc:
-            raise ConfigError(f"line {val_line}: {exc}") from None
+            raise ConfigError(f"line {val_line}: key 'values': {exc}") from None
     else:
         raise ConfigError("missing initial datum: u_minus/u_plus or breakpoints/values")
 
@@ -200,6 +200,9 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError("key 'snapshots' times must lie in [0, T]")
     if half_width is not None and domain is not Domain.PERIODIC:
         raise ConfigError("key 'half_width' applies only to domain = periodic")
+    guard = 3.0 * T / mu
+    if domain is Domain.PERIODIC and (half_width is None or half_width <= 0 or half_width < guard):
+        raise ConfigError(f"key 'half_width' must be positive and at least 3*T/mu = {guard:g}")
 
     try:
         scheme_cfg = SchemeConfig(
@@ -252,53 +255,56 @@ def _fail(name: str, value, limit) -> None:
 def cmd_run(cfg: ExperimentConfig, out_dir: Path) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     traj = run(cfg.u0, cfg.h0, cfg.v0, cfg.scheme, cfg.dx, snapshot_times=cfg.snapshot_times)
-    t, v, momentum, tv, accel, dist = np.array(
-        [(r.t, r.v, r.momentum, r.tv, r.accel, r.trace_germ_dist) for r in traj.records]
-    ).T
+    names = [f"u_{t_snap:.6f}.csv" for t_snap, _ in traj.snapshots]
+    clash = [a for a, b in zip(names, names[1:]) if a == b]
+    if clash:
+        raise ConfigError(f"key 'snapshots': two stored times would share the file {clash[0]}")
     _write_csv(
         out_dir / "particle.csv",
         ["t", "h", "v", "momentum", "tv", "accel", "trace_germ_dist"],
-        [t, traj.h, v, momentum, tv, accel, dist],
+        [traj.times, traj.h, traj.v, traj.momentum, traj.tv, traj.accel, traj.trace_germ_dist],
     )
-    for t_snap, grid in traj.snapshots:
-        _write_csv(out_dir / f"u_{t_snap:.6f}.csv", ["x", "u"], [grid.cell_centers(), grid.u])
+    for name, (_, grid) in zip(names, traj.snapshots):
+        _write_csv(out_dir / name, ["x", "u"], [grid.cell_centers(), grid.u])
 
     status = 0
     env = traj.env
-    mom0 = traj.records[0].momentum
     lam = cfg.scheme.lam
     L = lipschitz_bound(cfg.scheme.bulk, env.m, env.M, env.v_lo, env.v_hi, lam)
     u0_sup = max(abs(v) for v in cfg.u0.values)
     v_sup = max(abs(env.v_lo), abs(env.v_hi))
     accel_limit = (2.0 * L / cfg.scheme.m_p) * (u0_sup + lam + v_sup)
-    tv_limit = traj.records[0].tv + 2.0 * lam + TAU_NUM
-    for n, r in enumerate(traj.records):
+    tv_limit = traj.tv[0] + 2.0 * lam + TAU_NUM
+    mom0 = traj.momentum[0]
+    columns = (traj.momentum, traj.boundary_flux, traj.u_min, traj.u_max, traj.tv, traj.v, traj.accel)
+    for n, (mom, bflux, u_min, u_max, tv, v, accel) in enumerate(zip(*(c.tolist() for c in columns))):
         # On a padded domain the co-moving window exchanges momentum through
         # its edges; the exact identity includes that boundary flux.
-        drift = abs(r.momentum + traj.boundary_flux[n] - mom0)
+        drift = abs(mom + bflux - mom0)
         if drift > 1e-12 * (1 + n):
             _fail("momentum_drift", drift, 1e-12 * (1 + n))
             status = 1
-        if r.u_min < env.m - TAU_NUM or r.u_max > env.M + TAU_NUM:
-            _fail("invariant_region", (r.u_min, r.u_max), (env.m, env.M))
+        if u_min < env.m - TAU_NUM or u_max > env.M + TAU_NUM:
+            _fail("invariant_region", (u_min, u_max), (env.m, env.M))
             status = 1
-        if r.tv > tv_limit:
-            _fail("total_variation", r.tv, tv_limit)
+        if tv > tv_limit:
+            _fail("total_variation", tv, tv_limit)
             status = 1
-        if not env.v_lo - TAU_NUM <= r.v <= env.v_hi + TAU_NUM:
-            _fail("velocity_bounds", r.v, (env.v_lo, env.v_hi))
+        if not env.v_lo - TAU_NUM <= v <= env.v_hi + TAU_NUM:
+            _fail("velocity_bounds", v, (env.v_lo, env.v_hi))
             status = 1
-        if r.accel > accel_limit + TAU_NUM:
-            _fail("acceleration_bound", r.accel, accel_limit)
+        if accel > accel_limit + TAU_NUM:
+            _fail("acceleration_bound", accel, accel_limit)
             status = 1
     return status
 
 
 def cmd_convergence(cfg: ExperimentConfig, out_dir: Path) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
-    if len(cfg.dx_levels) < 3:
-        raise ConfigError("convergence needs dx to list at least 3 decreasing levels")
-    rows = convergence_study(cfg.u0, cfg.h0, cfg.v0, cfg.scheme, cfg.dx_levels)
+    levels = cfg.dx_levels
+    if len(levels) < 3 or any(b >= a for a, b in zip(levels, levels[1:])):
+        raise ConfigError("key 'dx' must list at least 3 strictly decreasing levels for convergence")
+    rows = convergence_study(cfg.u0, cfg.h0, cfg.v0, cfg.scheme, levels)
     _write_csv(
         out_dir / "convergence.csv",
         ["dx", "err_u_L1", "err_h_sup", "err_v_sup", "order_u", "order_h"],

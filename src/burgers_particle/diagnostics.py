@@ -35,18 +35,6 @@ class BoundsEnvelope:
 
 
 @dataclass(frozen=True)
-class DiagnosticsRecord:
-    t: float
-    momentum: float
-    tv: float
-    u_min: float
-    u_max: float
-    v: float
-    accel: float
-    trace_germ_dist: float
-
-
-@dataclass(frozen=True)
 class ConvergenceRow:
     dx: float
     err_u_L1: float
@@ -165,27 +153,24 @@ def make_record(
     grid: "FluidGrid",
     particle: "ParticleState",
     lam: float,
-    t: float,
     prev_v: float | None = None,
     dt_prev: float | None = None,
-) -> DiagnosticsRecord:
+) -> tuple[float, float, float, float, float, float]:
+    """(momentum, tv, u_min, u_max, accel, trace_germ_dist) of one state;
+    accel is |v - prev_v| / dt_prev, 0 without a previous step."""
     p0 = grid.particle_index
     u = grid.u
     active = u[grid.lo : grid.hi]
     accel = 0.0
     if prev_v is not None and dt_prev:
         accel = abs(particle.v - prev_v) / dt_prev
-    return DiagnosticsRecord(
-        t=t,
-        momentum=total_momentum(grid, particle),
-        tv=total_variation(grid),
-        u_min=float(min(active.min(), u[0], u[-1])),
-        u_max=float(max(active.max(), u[0], u[-1])),
-        v=particle.v,
-        accel=accel,
-        trace_germ_dist=dist1_to_H(
-            (float(grid.u[p0]), float(grid.u[p0 + 1])), particle.v, lam
-        ),
+    return (
+        total_momentum(grid, particle),
+        total_variation(grid),
+        float(min(active.min(), u[0], u[-1])),
+        float(max(active.max(), u[0], u[-1])),
+        accel,
+        dist1_to_H((float(u[p0]), float(u[p0 + 1])), particle.v, lam),
     )
 
 

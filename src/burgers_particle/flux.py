@@ -20,8 +20,9 @@ builtins ``max``/``min``, which cost a fraction of numpy on 0-d values, and
 any other call passes ``np.maximum``/``np.minimum``.  The kernels do the
 same operations in the same order either way, so a float call returns the
 bits of the same state in an array call.  A time step makes a few float
-calls (the particle interface and the window edges), the implicit velocity
-solve about four more.
+calls (the particle interface and the window edges); in an implicit step the
+velocity solve makes the interface calls, about four, and its last one gives
+the pair at the root.
 """
 
 from __future__ import annotations

@@ -25,12 +25,7 @@ from enum import Enum
 
 import numpy as np
 
-from .diagnostics import (
-    BoundsEnvelope,
-    DiagnosticsRecord,
-    bounds_envelope,
-    make_record,
-)
+from .diagnostics import BoundsEnvelope, bounds_envelope, make_record
 from .flux import BulkFluxKind, InterfaceFluxKind, bulk_flux, interface_fluxes, lipschitz_bound
 
 
@@ -248,23 +243,29 @@ class FluidGrid:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Time-indexed record of a run: particle path, snapshots, diagnostics.
+    """A run as one float64 column per quantity, one entry per time level
+    (the columns from ``momentum`` on are ``make_record``'s), and snapshots.
 
     ``boundary_flux`` is the cumulative momentum that left the (co-moving)
-    padded window through its edges (the sum of each step's ``grid.leak``); the exact discrete conservation law is
-    momentum(t_n) + boundary_flux(t_n) == momentum(0).  It is identically
+    padded window through its edges (the sum of each step's ``grid.leak``);
+    the exact discrete law is momentum + boundary_flux == momentum[0].  It is
     zero on periodic domains and for data with equal far-field fluxes.
     """
 
     times: np.ndarray
     h: np.ndarray
     v: np.ndarray
+    boundary_flux: np.ndarray
+    momentum: np.ndarray
+    tv: np.ndarray
+    u_min: np.ndarray
+    u_max: np.ndarray
+    accel: np.ndarray
+    trace_germ_dist: np.ndarray
     snapshots: list[tuple[float, FluidGrid]]
-    records: list[DiagnosticsRecord]
     env: BoundsEnvelope
     cfg: SchemeConfig
     dx: float
-    boundary_flux: np.ndarray
 
 
 def _effective_mu(cfg: SchemeConfig, env: BoundsEnvelope) -> tuple[float, float]:
@@ -299,7 +300,7 @@ def init_state(
         guard = 3.0 * cfg.T / cfg.mu
         if a < guard:
             raise ValueError(
-                f"periodic half_width {a} is below the influence guard 3*T/mu = {guard}"
+                f"periodic 'half_width' {a} is below the influence guard 3*T/mu = {guard}"
             )
         m_c = max(2, round(a / dx))
         n_left = n_right = m_c
@@ -432,8 +433,10 @@ def _step(
         raise ValueError("need at least 3 cells on each side of the particle")
     u0, u1 = float(grid.u[p0]), float(grid.u[p0 + 1])
     v = particle.v
-    w = _solve_implicit_velocity(u0, u1, particle, cfg, dt) if implicit else v
-    fm, fp = interface_fluxes(cfg.iface, cfg.bulk, u0, u1, w, cfg.lam)
+    if implicit:
+        w, fm, fp = _solve_implicit_velocity(u0, u1, particle, cfg, dt)
+    else:
+        w, fm, fp = v, *interface_fluxes(cfg.iface, cfg.bulk, u0, u1, v, cfg.lam)
     fm, fp = float(fm), float(fp)
     u_new, lo, hi, leak = _fluid_update(grid, w, dt, fm, fp, cfg)
     new_grid = FluidGrid(
@@ -460,8 +463,9 @@ def step_implicit(
 
 def _solve_implicit_velocity(
     u0: float, u1: float, particle: ParticleState, cfg: SchemeConfig, dt: float
-) -> float:
-    """Root w of r(w) = w - v^n - (dt/m_p) * (g_minus - g_plus)(u0, u1, w).
+) -> tuple[float, float, float]:
+    """Root w of r(w) = w - v^n - (dt/m_p) * (g_minus - g_plus)(u0, u1, w),
+    returned with the interface pair (g_minus, g_plus) evaluated at it.
 
     The root lies in [lo, hi] = [min(u0, u1, v^n) - lam, max(u0, u1, v^n) + lam].
     At w = lo every trace is at least w + lam, so each flux of the pair is
@@ -485,13 +489,14 @@ def _solve_implicit_velocity(
     scale = dt / particle.m_p
     eps4 = 4.0 * np.finfo(float).eps
 
-    def resid(w: float) -> tuple[float, float]:
+    def resid(w: float) -> tuple[float, float, tuple[float, float]]:
         gm, gp = interface_fluxes(cfg.iface, cfg.bulk, u0, u1, w, cfg.lam)
-        return w - v_n - scale * (gm - gp), eps4 * (abs(w) + abs(v_n) + scale * (abs(gm) + abs(gp)))
+        bound = eps4 * (abs(w) + abs(v_n) + scale * (abs(gm) + abs(gp)))
+        return w - v_n - scale * (gm - gp), bound, (gm, gp)
 
     lo = min(u0, u1, v_n) - cfg.lam
     hi = max(u0, u1, v_n) + cfg.lam
-    (r_lo, _), (r_hi, _) = resid(lo), resid(hi)
+    (r_lo, _, g_lo), (r_hi, _, g_hi) = resid(lo), resid(hi)
     f_lo, f_hi, side = r_lo, r_hi, 0  # secant weights; the end kept last
     before = last = math.inf  # bracket widths before the last two evaluations
     while r_lo < 0.0 < r_hi:
@@ -500,19 +505,19 @@ def _solve_implicit_velocity(
             w = 0.5 * (lo + hi)
             if not lo < w < hi:
                 break
-        r, bound = resid(w)
+        r, bound, g = resid(w)
         if abs(r) <= bound:
-            return w
+            return (w, *g)
         before, last = last, hi - lo
         if r < 0.0:
-            lo, r_lo, f_lo = w, r, r
+            lo, r_lo, g_lo, f_lo = w, r, g, r
             f_hi *= 0.5 if side < 0 else 1.0
             side = -1
         else:
-            hi, r_hi, f_hi = w, r, r
+            hi, r_hi, g_hi, f_hi = w, r, g, r
             f_lo *= 0.5 if side > 0 else 1.0
             side = 1
-    return lo if abs(r_lo) <= abs(r_hi) else hi
+    return (lo, *g_lo) if abs(r_lo) <= abs(r_hi) else (hi, *g_hi)
 
 
 def run(
@@ -541,7 +546,7 @@ def run(
         guard = 3.0 * cfg.T * dx / dt_nom
         if a_eff < guard * (1.0 - 1e-12):
             raise ValueError(
-                f"periodic half_width {a_eff} is below the effective influence "
+                f"periodic 'half_width' {a_eff} is below the effective influence "
                 f"guard 3*T/mu_eff = {guard}"
             )
     req = sorted(set(float(t) for t in snapshot_times))
@@ -550,12 +555,9 @@ def run(
 
     advance = step if cfg.velocity_update is VelocityUpdate.EXPLICIT else step_implicit
 
-    times = [0.0]
-    hs = [particle.h]
-    vs = [particle.v]
-    records = [make_record(grid, particle, cfg.lam, 0.0)]
+    # one row per state: (t, h, v, boundary flux, *make_record(...))
+    rows = [(0.0, particle.h, particle.v, 0.0, *make_record(grid, particle, cfg.lam))]
     snapshots: list[tuple[float, FluidGrid]] = [(0.0, grid)]
-    bflux = [0.0]
     next_req = 0
     t = 0.0
     eps = 1e-12 * max(1.0, cfg.T)
@@ -571,29 +573,16 @@ def run(
             if snapshots[-1][0] != t:
                 snapshots.append((t, grid))
             next_req += 1
+        prev_v, leak = particle.v, rows[-1][3]
         grid, particle = advance(grid, particle, cfg, dt)
-        prev_v = vs[-1]
         t = t_next
-        times.append(t)
-        hs.append(particle.h)
-        vs.append(particle.v)
-        bflux.append(bflux[-1] + grid.leak)
-        records.append(make_record(grid, particle, cfg.lam, t, prev_v, dt))
+        record = make_record(grid, particle, cfg.lam, prev_v, dt)
+        rows.append((t, particle.h, particle.v, leak + grid.leak, *record))
         if store_all and t != cfg.T:
             snapshots.append((t, grid))
     if snapshots[-1][0] != t:
         snapshots.append((t, grid))
-    return Trajectory(
-        times=np.asarray(times),
-        h=np.asarray(hs),
-        v=np.asarray(vs),
-        snapshots=snapshots,
-        records=records,
-        env=env,
-        cfg=cfg,
-        dx=dx,
-        boundary_flux=np.asarray(bflux),
-    )
+    return Trajectory(*np.array(rows).T, snapshots=snapshots, env=env, cfg=cfg, dx=dx)
 
 
 def sample_solution(traj: Trajectory, t: float, x: float) -> tuple[float, float, float]:

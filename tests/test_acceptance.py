@@ -49,7 +49,7 @@ def _report(num: int, ok: bool, detail: str) -> None:
 def _assert_conservation(traj, label: str) -> None:
     """Criterion 2 bookkeeping for every acceptance run: the total momentum,
     corrected by the padded window's boundary exchange, is constant."""
-    mom = np.array([r.momentum for r in traj.records])
+    mom = traj.momentum
     drift = np.abs(mom + traj.boundary_flux - mom[0])
     budget = 1e-12 * (1 + np.arange(len(mom)))
     assert np.all(drift <= budget), f"momentum drift in {label}: {drift.max():.3e}"
@@ -108,7 +108,7 @@ def test_criterion_02_conservation():
         lam=1.0, mu=0.25, T=1.0, m_p=1.0, domain=Domain.PERIODIC, half_width=19.0
     )
     traj = run(u0, 0.0, 0.0, cfg, 0.05)
-    mom = np.array([r.momentum for r in traj.records])
+    mom = traj.momentum
     budget = 1e-12 * (1 + np.arange(len(mom)))
     assert np.all(np.abs(mom - mom[0]) <= budget)
     assert np.all(traj.boundary_flux == 0.0)
@@ -117,7 +117,7 @@ def test_criterion_02_conservation():
     u0c = PiecewiseConstant(breakpoints=(-0.4, 0.0, 0.3), values=(0.0, 1.1, -0.8, 0.0))
     cfgc = SchemeConfig(lam=1.0, mu=0.3, T=1.0, m_p=2.0)
     trajc = run(u0c, 0.0, 0.4, cfgc, 0.02)
-    momc = np.array([r.momentum for r in trajc.records])
+    momc = trajc.momentum
     budget = 1e-12 * (1 + np.arange(len(momc)))
     assert np.all(np.abs(momc - momc[0]) <= budget)
     assert np.all(trajc.boundary_flux == 0.0)

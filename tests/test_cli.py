@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -71,11 +69,18 @@ values = 0, 1, 0
         ("dx = 0.1\n", "duplicate"),
         ("snapshots = 2.0", "snapshots"),
         ("half_width = 3", "half_width"),
+        ("domain = periodic", "'half_width'"),
+        ("domain = periodic\nhalf_width = -1", "'half_width'"),
+        ("domain = periodic\nhalf_width = 1", "'half_width'"),  # below 3*T/mu = 6
+        ("breakpoints = 0, 0\nvalues = 1, 2, 3", "line 8: key 'breakpoints'"),
     ],
 )
 def test_parse_rejections_name_the_key(line, fragment):
+    base = MINIMAL
+    if line.startswith("breakpoints"):  # a piecewise datum replaces the Riemann one
+        base = base.replace("u_minus = 1\nu_plus = -1\n", "")
     with pytest.raises(ConfigError, match=fragment):
-        parse_config(MINIMAL + line + "\n")
+        parse_config(base + line + "\n")
 
 
 @pytest.mark.parametrize(
@@ -282,6 +287,11 @@ def test_main_exit_codes(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[-1] == (
         "FAIL check=execution value=key 'dx' must be a single value for this command"
     )
+    # convergence needs strictly decreasing levels
+    rising = tmp_path / "rising.cfg"
+    rising.write_text(MINIMAL.replace("dx = 0.1", "dx = 0.05, 0.1, 0.2"), encoding="utf-8")
+    assert main(["convergence", str(rising), "--out", str(tmp_path / "out")]) == 2
+    assert "'dx'" in capsys.readouterr().out.splitlines()[-1]
 
 
 def test_implicit_run_at_a_velocity_near_1000_finishes(tmp_path):
@@ -298,6 +308,22 @@ def test_implicit_run_at_a_velocity_near_1000_finishes(tmp_path):
     assert (tmp_path / "out" / "particle.csv").is_file()
 
 
+def test_run_refuses_snapshots_that_share_a_file(tmp_path, capsys):
+    # Snapshot files are named u_<t:.6f>.csv; the states stored for 1e-6 and
+    # 1.2e-6 would both write u_0.000001.csv, and one of them would be lost.
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(
+        "lambda = 1\nmass = 1\nmu = 0.25\ndx = 1e-7\nT = 1.5e-6\nu_minus = 1\nu_plus = -1\n"
+        "snapshots = 0.000001, 0.0000012\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    assert main(["run", str(cfg_path), "--out", str(out)]) == 2
+    fail = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    assert len(fail) == 1 and "'snapshots'" in fail[0]
+    assert list(out.iterdir()) == []  # refused before any file is written
+
+
 def test_run_gate_reports_a_record_out_of_bounds(tmp_path, monkeypatch, capsys):
     # The invariant-region and velocity gates pass (low, high) tuples; their
     # first violation must print a FAIL line, not crash the formatter.
@@ -305,8 +331,8 @@ def test_run_gate_reports_a_record_out_of_bounds(tmp_path, monkeypatch, capsys):
 
     def run(*args, **kwargs):
         traj = real_run(*args, **kwargs)
-        r = traj.records[3]
-        traj.records[3] = dataclasses.replace(r, u_max=traj.env.M + 1.0, v=traj.env.v_hi + 1.0)
+        traj.u_max[3] = traj.env.M + 1.0
+        traj.v[3] = traj.env.v_hi + 1.0
         return traj
 
     monkeypatch.setattr(cli, "run", run)

@@ -246,7 +246,7 @@ def _loop_reference_step(grid, part, cfg, dt):
     mu = dt / grid.dx
     v = part.v
     if cfg.velocity_update is VelocityUpdate.IMPLICIT:
-        v = _solve_implicit_velocity(float(u[p0]), float(u[p0 + 1]), part, cfg, dt)
+        v = _solve_implicit_velocity(float(u[p0]), float(u[p0 + 1]), part, cfg, dt)[0]
     fm, fp = interface_fluxes(cfg.iface, cfg.bulk, float(u[p0]), float(u[p0 + 1]), v, cfg.lam)
     fm, fp = float(fm), float(fp)
 
@@ -297,10 +297,16 @@ def _bits(x) -> str:
     return float(x).hex()
 
 
+_COLUMNS = (
+    "times", "h", "v", "boundary_flux", "momentum", "tv", "u_min", "u_max", "accel",
+    "trace_germ_dist",
+)
+
+
 def _reference_run(u0, h0, v0, cfg, dx):
     """Full-window transliteration of run(..., store_all=True): every cell is
     updated every step and every diagnostic sums the whole window.  Returns
-    the states (t, u), the record fields and the cumulative boundary flux."""
+    the states (t, u) and every Trajectory column by name."""
     from burgers_particle.germ import dist1_to_H
 
     env = bounds_envelope(u0, v0, cfg.lam, split=h0)
@@ -308,25 +314,26 @@ def _reference_run(u0, h0, v0, cfg, dx):
     dt_nom = compute_dt(grid, part, cfg, env)
     p0 = grid.particle_index
 
-    def record(g, p, t, accel):
+    def record(g, p, t, bflux, accel):
         u = g.u
         tv = float(np.sum(np.abs(np.diff(u))))
         if g.periodic:
             tv += abs(float(u[0]) - float(u[-1]))
         return (
             t,
+            p.h,
+            p.v,
+            bflux,
             p.m_p * p.v + g.dx * math.fsum(u.tolist()),
             tv,
             float(u.min()),
             float(u.max()),
-            p.v,
             accel,
             dist1_to_H((float(u[p0]), float(u[p0 + 1])), p.v, cfg.lam),
         )
 
     states = [(0.0, grid.u)]
-    records = [record(grid, part, 0.0, 0.0)]
-    bflux = [0.0]
+    rows = [record(grid, part, 0.0, 0.0, 0.0)]
     t = 0.0
     eps = 1e-12 * max(1.0, cfg.T)
     while t < cfg.T - eps:
@@ -344,20 +351,22 @@ def _reference_run(u0, h0, v0, cfg, dx):
         part = ParticleState(h=part.h + part.v * dt, v=v_new, m_p=part.m_p)
         t = t_next
         states.append((t, grid.u))
-        records.append(record(grid, part, t, abs(part.v - prev_v) / dt))
-        bflux.append(bflux[-1] + leak)
-    return states, records, np.asarray(bflux)
+        rows.append(record(grid, part, t, rows[-1][3] + leak, abs(part.v - prev_v) / dt))
+    return states, dict(zip(_COLUMNS, zip(*rows)))
 
 
-def _assert_matches_reference(traj, states, records, bflux):
+def _assert_matches_reference(traj, states, columns):
     assert len(traj.snapshots) == len(states) > 10
     for (t, grid), (t_ref, u_ref) in zip(traj.snapshots, states):
         assert t == t_ref
         assert grid.u.tobytes() == u_ref.tobytes()
-    assert len(traj.records) == len(records)
-    for rec, ref in zip(traj.records, records):
-        assert [_bits(x) for x in dataclasses.astuple(rec)] == [_bits(x) for x in ref]
-    assert traj.boundary_flux.tobytes() == bflux.tobytes()
+    # every array column of the trajectory, hex for hex
+    arrays = [f.name for f in dataclasses.fields(traj) if isinstance(getattr(traj, f.name), np.ndarray)]
+    assert sorted(arrays) == sorted(columns)
+    for name, ref in columns.items():
+        col = getattr(traj, name)
+        assert col.dtype == np.float64, name
+        assert [_bits(x) for x in col] == [_bits(x) for x in ref], name
 
 
 @pytest.mark.parametrize("update", list(VelocityUpdate))
@@ -402,7 +411,7 @@ def test_implicit_boundary_flux_uses_the_flux_speed():
     u0 = PiecewiseConstant.riemann(1.0, -1.0, 0.0)
     cfg = base_cfg(T=0.5, mu=0.5, m_p=0.002, velocity_update=VelocityUpdate.IMPLICIT)
     traj = run(u0, 0.0, 0.5, cfg, 0.01)
-    mom = np.array([r.momentum for r in traj.records])
+    mom = traj.momentum
     assert traj.boundary_flux[-1] != 0.0
     assert np.abs(mom + traj.boundary_flux - mom[0]).max() <= 1e-16
 
@@ -500,7 +509,7 @@ def test_implicit_solve_brackets_and_ends_at_its_rounding_bound(monkeypatch):
                     calls[0] = 0
                     w = scheme._solve_implicit_velocity(
                         u0, u1, ParticleState(h=0.0, v=v, m_p=m_p), cfg, dt
-                    )
+                    )[0]
                     assert calls[0] <= 150
                     assert lo <= w <= hi
                     r, bound = resid(w)
@@ -530,7 +539,7 @@ def test_run_zero_final_time():
     u0 = PiecewiseConstant.riemann(1.0, -1.0, 0.0)
     traj = run(u0, 0.0, 0.5, base_cfg(T=0.0), 0.1)
     assert traj.times.tolist() == [0.0]
-    assert len(traj.records) == 1
+    assert len(traj.momentum) == 1
     assert traj.snapshots[0][0] == 0.0
 
 
@@ -581,7 +590,7 @@ def test_run_conserves_momentum_on_periodic_domain():
     u0 = PiecewiseConstant.riemann(1.0, -1.0, 0.0)
     cfg = base_cfg(T=1.0, mu=0.25, domain=Domain.PERIODIC, half_width=19.0)
     traj = run(u0, 0.0, 0.0, cfg, 0.05)
-    mom = np.array([r.momentum for r in traj.records])
+    mom = traj.momentum
     assert np.abs(mom - mom[0]).max() <= 1e-12 * len(mom)
     assert np.all(traj.boundary_flux == 0.0)
 
@@ -589,7 +598,7 @@ def test_run_conserves_momentum_on_periodic_domain():
 def test_run_boundary_flux_accounts_for_window_leakage():
     u0 = PiecewiseConstant.riemann(1.0, -1.0, 0.0)
     traj = run(u0, 0.0, 0.5, base_cfg(T=0.5), 0.05)
-    mom = np.array([r.momentum for r in traj.records])
+    mom = traj.momentum
     drift = np.abs(mom + traj.boundary_flux - mom[0])
     assert drift.max() <= 1e-12 * len(mom)
     assert traj.boundary_flux[-1] != 0.0  # unequal far-field fluxes leak
