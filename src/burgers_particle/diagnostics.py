@@ -69,12 +69,6 @@ def _copies(c: float, k: int) -> list[float]:
     return [math.ldexp(head, -e), math.ldexp(float(exact - int(head)), -e)]
 
 
-# Below this many terms ``math.fsum`` over a list beats the numpy passes of
-# ``_exact_sum``: both take about 27 us at 550-600 terms (numpy 2.4, Python
-# 3.11, a 2-core Xeon VM); at 12000 terms fsum takes about 7x longer.
-EXACT_SUM_MIN_LEN = 600
-
-
 def _fsum(x: np.ndarray, tails: Sequence[tuple[int, float]]) -> float:
     terms = x.tolist()
     for k, c in tails:
@@ -82,51 +76,67 @@ def _fsum(x: np.ndarray, tails: Sequence[tuple[int, float]]) -> float:
     return math.fsum(terms)
 
 
-def _exact_sum(x: np.ndarray, tails: Sequence[tuple[int, float]] = ()) -> float:
-    """Correctly rounded sum(x) + sum(k * c for k, c in tails): the bits of
-    ``math.fsum`` over the same terms.
+def _exact_sum(x: np.ndarray, tails: Sequence = (), extremes=None) -> float | list[float]:
+    """Correctly rounded row sums: the bits of ``math.fsum`` over the same
+    terms.
 
-    Error-free extraction (Rump, Ogita and Oishi, SISC 2008): x is scaled by
-    2**s so that every |x| < 2**b with n * 2**b <= 2**53; then the integer
-    parts of the n terms sum exactly in floating point, and each pass adds
-    their sum into a Python int and moves on to the fractions times 2**b,
-    until no fraction is left.  The tails add exactly from their integer
-    ratios, and one division rounds.  Short inputs, a zero total (fsum's
-    signed-zero rule) and scalings that would underflow go to ``math.fsum``.
+    ``x`` is one row (1-D; ``tails`` is a sequence of (k, c) pairs and the
+    result a float) or a block of rows (2-D; ``tails`` holds one such
+    sequence per row and the result a list).  A row sums to sum(row) +
+    sum(k * c for k, c in its tails).
+
+    Error-free extraction (Rump, Ogita and Oishi, SISC 2008), row by row:
+    each row is scaled by its own 2**s so that every |x| < 2**b with
+    n * 2**b <= 2**53; then the integer parts of a row sum exactly in
+    floating point, and each pass adds every row's sum into a Python int and
+    moves on to the fractions times 2**b, until no fraction is left.  The
+    tails add exactly from their integer ratios, and one division per row
+    rounds.  A zero total (fsum's signed-zero rule) and a row whose scaling
+    would underflow go to ``math.fsum``.  ``extremes`` is (row maxima, row
+    minima) of a block, when the caller has them.
     """
-    n = x.shape[0]
-    if n < EXACT_SUM_MIN_LEN:
-        return _fsum(x, tails)
+    if x.ndim == 1:
+        return _exact_sum(x[None], [tails])[0]
+    k, n = x.shape
+    if n == 0:
+        x, n = np.zeros((k, 1)), 1
+    top, bottom = extremes if extremes is not None else (x.max(axis=1), x.min(axis=1))
     b = 53 - n.bit_length()
-    s = b - math.frexp(max(float(x.max()), -float(x.min())))[1]
+    shifts = [b - math.frexp(max(t, -m))[1] for t, m in zip(top.tolist(), bottom.tolist())]
+    s = np.array(shifts, dtype=np.int32)[:, None]  # np.ldexp is slow on int64
     y = np.ldexp(x, s)
-    if s < 0 and not np.array_equal(np.ldexp(y, -s), x):
-        return _fsum(x, tails)
+    lossy = set()
+    if min(shifts) < 0:
+        down = [i for i, si in enumerate(shifts) if si < 0]
+        lost = (np.ldexp(y[down], -s[down]) != x[down]).any(axis=1)
+        lossy = {i for i, bad in zip(down, lost.tolist()) if bad}
     whole = np.empty_like(y)
     scale = float(1 << b)
-    total = 0
-    shift = s - b  # sum(x) == total / 2**shift after each pass
+    totals = [0] * k
+    passes = 0
     while True:
         # integer and fractional parts, as np.modf splits them but faster;
         # the subtraction is exact
         np.trunc(y, out=whole)
         y -= whole
-        total = (total << b) + int(whole.sum())
-        shift += b
+        totals = [(t << b) + int(w) for t, w in zip(totals, whole.sum(axis=1).tolist())]
+        passes += 1
         if not y.any():
             break
         y *= scale
-    exact_tails = []  # k * c == num / 2**d
-    for k, c in tails:
-        num, den = c.as_integer_ratio()
-        exact_tails.append((k * num, den.bit_length() - 1))
-    e = max([shift, 0] + [d for _, d in exact_tails])
-    total <<= e - shift
-    for num, d in exact_tails:
-        total += num << (e - d)
-    if total == 0:
-        return _fsum(x, tails)
-    return total / (1 << e)
+    out = []
+    for i, (total, shift, row_tails) in enumerate(zip(totals, shifts, tails)):
+        shift += (passes - 1) * b  # the row sums to total / 2**shift
+        total, e = (total << -shift, 0) if shift < 0 else (total, shift)
+        for count, c in row_tails:
+            if count and c:  # count * c == count * num / 2**d
+                num, den = c.as_integer_ratio()
+                d = den.bit_length() - 1
+                if d > e:
+                    total, e = total << (d - e), d
+                total += count * num << (e - d)
+        out.append(_fsum(x[i], row_tails) if total == 0 or i in lossy else total / (1 << e))
+    return out
 
 
 def total_momentum(grid: "FluidGrid", particle: "ParticleState") -> float:
@@ -141,36 +151,143 @@ def total_momentum(grid: "FluidGrid", particle: "ParticleState") -> float:
     return particle.m_p * particle.v + grid.dx * _exact_sum(u[lo:hi], tails)
 
 
-def total_variation(grid: "FluidGrid") -> float:
-    """Sum of |u_j - u_{j-1}| over interfaces (including the periodic wrap)."""
-    tv = float(np.sum(np.abs(np.diff(grid.u))))
-    if grid.periodic:
-        tv += abs(float(grid.u[0]) - float(grid.u[-1]))
+# numpy's sum of a float64 row is a pairwise tree (pairwise_sum in numpy's
+# loops): ranges of at most _LEAF terms are leaves, summed with 8
+# accumulators; a longer range splits after half its terms, rounded down to
+# a multiple of 8.
+_LEAF = 128
+
+
+def _split(s: int, e: int) -> int | None:
+    """Where numpy's pairwise sum splits the terms [s, e); None at a leaf."""
+    half = (e - s) // 2
+    return None if e - s <= _LEAF else s + half - half % 8
+
+
+def _leaf(p: int, n: int) -> tuple[int, int]:
+    """The leaf [s, e) that holds term p of a pairwise sum of n terms."""
+    s, e = 0, n
+    while (m := _split(s, e)) is not None:
+        s, e = (s, m) if p < m else (m, e)
+    return s, e
+
+
+def _pairwise_sum(terms: np.ndarray, a: int, s: int, e: int) -> np.ndarray:
+    """Per row, numpy's pairwise sum over the terms [s, e), a node of the
+    tree of a sum that starts at term 0, bit for bit.  ``terms`` (k x w)
+    holds the terms [a, a + w) of every row, every other term is 0.0, and
+    [a, a + w) starts and ends on leaf boundaries (``_leaf``).
+
+    numpy sums a node as it would sum its terms alone, so a node inside
+    [a, a + w) is one numpy sum; a node outside sums to 0.0, and adding 0.0
+    changes no sum, so it is skipped.
+    """
+    if a <= s and e <= a + terms.shape[1]:
+        return terms[:, s - a : e - a].sum(axis=1)
+    m = _split(s, e)
+    if m <= a:
+        return _pairwise_sum(terms, a, m, e)
+    if m >= a + terms.shape[1]:
+        return _pairwise_sum(terms, a, s, m)
+    return _pairwise_sum(terms, a, s, m) + _pairwise_sum(terms, a, m, e)
+
+
+def _variation_cells(n: int, lo: int, hi: int) -> tuple[int, int]:
+    """Cells [a, b) that the total variation of a window of n cells with
+    active range [lo, hi) reads: those of the leaves of the pairwise sum of
+    its n - 1 differences that hold the differences u[j+1] - u[j], j in
+    [lo - 1, hi), which can be nonzero."""
+    if lo <= 1 and hi >= n - 1:
+        return 0, n  # every leaf; no need to look them up
+    a = _leaf(max(lo - 1, 0), n - 1)[0]
+    b = _leaf(min(hi, n - 1) - 1, n - 1)[1] + 1
+    return a, b
+
+
+def _variation(cells: np.ndarray, a: int, n: int, periodic: bool) -> np.ndarray:
+    """Total variation of each row of ``cells``, the cells ``_variation_cells``
+    names of windows of n cells, with the bits of ``np.sum`` over the whole
+    window, plus the wrap interface of a periodic box."""
+    terms = np.subtract(cells[:, 1:], cells[:, :-1])  # np.diff, without its overhead
+    tv = _pairwise_sum(np.abs(terms, out=terms), a, 0, n - 1)
+    if periodic:
+        tv += np.abs(cells[:, 0] - cells[:, -1])
     return tv
 
 
-def make_record(
-    grid: "FluidGrid",
-    particle: "ParticleState",
-    lam: float,
-    prev_v: float | None = None,
-    dt_prev: float | None = None,
-) -> tuple[float, float, float, float, float, float]:
-    """(momentum, tv, u_min, u_max, accel, trace_germ_dist) of one state;
-    accel is |v - prev_v| / dt_prev, 0 without a previous step."""
-    p0 = grid.particle_index
-    u = grid.u
-    active = u[grid.lo : grid.hi]
-    accel = 0.0
-    if prev_v is not None and dt_prev:
-        accel = abs(particle.v - prev_v) / dt_prev
+def total_variation(grid: "FluidGrid") -> float:
+    """Sum of |u_j - u_{j-1}| over interfaces (including the periodic wrap)."""
+    a, b = _variation_cells(grid.n, grid.lo, grid.hi)
+    return float(_variation(grid.u[None, a:b], a, grid.n, grid.periodic)[0])
+
+
+# Cell values in the row matrix of one ``make_record`` call: 128 KiB of
+# float64, glibc malloc's default mmap threshold.  A larger temporary can be
+# mapped afresh and fault its pages in on every call; with blocks of two
+# 12000-cell states a periodic-dense run took 0.85 s against 0.55 s (2-core
+# Xeon VM).
+RECORD_BLOCK_CELLS = 1 << 14
+
+
+class RecordBlock:
+    """Consecutive states of one run waiting for ``make_record``: a copy of
+    each state's active cells and the scalars its record needs."""
+
+    def __init__(self, grid: "FluidGrid"):
+        self.n, self.dx, self.periodic = grid.n, grid.dx, grid.periodic
+        self.states: list[tuple] = []
+        self.lo, self.hi = grid.n, 0  # union of the active ranges
+
+    def add(self, grid: "FluidGrid", particle: "ParticleState", accel: float = 0.0) -> bool:
+        """Copy a state in, with its acceleration |v - prev_v| / dt.  True
+        when the block is full: one more state as wide as the union of the
+        active ranges would take the row matrix, at most two leaves wider
+        than that union, past RECORD_BLOCK_CELLS values.
+
+        A state active over its whole window keeps its own cells: no step
+        changes a grid's cells in place, and a copy would hold as many."""
+        u, lo, hi, p0 = grid.u, grid.lo, grid.hi, grid.particle_index
+        self.states.append((
+            u if hi - lo == grid.n else u[lo:hi].copy(), lo, hi, float(u[0]),
+            float(u[-1]), float(u[p0]), float(u[p0 + 1]), particle.v,
+            particle.m_p * particle.v, accel,
+        ))
+        self.lo, self.hi = min(self.lo, lo), max(self.hi, hi)
+        width = self.hi - self.lo + 2 * _LEAF
+        return (len(self.states) + 1) * width > RECORD_BLOCK_CELLS
+
+
+def make_record(block: RecordBlock, lam: float) -> tuple[list[float], ...]:
+    """Columns (momentum, tv, u_min, u_max, accel, trace_germ_dist) of the
+    states of a block, one float per state, with the bits of
+    ``total_momentum``, ``total_variation`` and min/max over each window.
+
+    The states' cells are laid out as rows over the union of their active
+    ranges, widened to the leaves ``total_variation`` reads; a row holds its
+    window's cells there, far-field values included, and every cell outside
+    equals the row's far-field value on that side.
+    """
+    n = block.n
+    a, b = _variation_cells(n, block.lo, block.hi)
+    cells, lo, hi, first, last, u_p0, u_p1, v, mv, accel = zip(*block.states)
+    if len(cells) == 1 and cells[0].shape[0] == b - a:
+        rows = cells[0][None]  # one state whose active cells are the rows
+    else:
+        rows = np.empty((len(cells), b - a))
+        for row, c, l, h, f, z in zip(rows, cells, lo, hi, first, last):
+            row[: l - a] = f
+            row[l - a : h - a] = c
+            row[h - a :] = z
+    tails = [((a, f), (n - b, z)) for f, z in zip(first, last)]
+    u_min, u_max = rows.min(axis=1), rows.max(axis=1)
+    sums = _exact_sum(rows, tails, (u_max, u_min))
     return (
-        total_momentum(grid, particle),
-        total_variation(grid),
-        float(min(active.min(), u[0], u[-1])),
-        float(max(active.max(), u[0], u[-1])),
-        accel,
-        dist1_to_H((float(u[p0]), float(u[p0 + 1])), particle.v, lam),
+        [m + block.dx * s for m, s in zip(mv, sums)],
+        _variation(rows, a, n, block.periodic).tolist(),
+        u_min.tolist(),
+        u_max.tolist(),
+        list(accel),
+        [dist1_to_H((p, q), w, lam) for p, q, w in zip(u_p0, u_p1, v)],
     )
 
 

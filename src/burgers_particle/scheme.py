@@ -25,7 +25,7 @@ from enum import Enum
 
 import numpy as np
 
-from .diagnostics import BoundsEnvelope, bounds_envelope, make_record
+from .diagnostics import BoundsEnvelope, RecordBlock, bounds_envelope, make_record
 from .flux import BulkFluxKind, InterfaceFluxKind, bulk_flux, interface_fluxes, lipschitz_bound
 
 
@@ -276,6 +276,20 @@ def _effective_mu(cfg: SchemeConfig, env: BoundsEnvelope) -> tuple[float, float]
     return (cfg.mu if L == 0.0 else min(cfg.mu, 0.5 / L)), L
 
 
+# Most cells init_state lays out: each step copies and updates arrays of
+# this many float64 values (80 MB each).
+MAX_CELLS = 10**7
+
+
+def _refuse_oversized(cells: float, keys: str) -> None:
+    """Refuse a window of more than MAX_CELLS cells (or a NaN or infinite
+    count), naming the config keys that size it."""
+    if not cells <= MAX_CELLS:
+        raise ValueError(
+            f"the window would hold {cells:.9g} cells, more than {MAX_CELLS}; check {keys}"
+        )
+
+
 def init_state(
     u0: PiecewiseConstant,
     h0: float,
@@ -288,7 +302,8 @@ def init_state(
     The padded domain covers the datum's support widened by three times the
     distance a disturbance can travel before the final time (one cell per
     step).  The periodic domain uses the configured half width, rejected when
-    smaller than 3*T/mu.
+    smaller than 3*T/mu.  A window of more than MAX_CELLS cells is refused
+    before anything is allocated.
     """
     if dx <= 0.0:
         raise ValueError(f"cell width must be positive, got dx={dx}")
@@ -302,6 +317,7 @@ def init_state(
             raise ValueError(
                 f"periodic 'half_width' {a} is below the influence guard 3*T/mu = {guard}"
             )
+        _refuse_oversized(2.0 * a / dx, "'half_width' and 'dx'")
         m_c = max(2, round(a / dx))
         n_left = n_right = m_c
         j_min = 1 - m_c
@@ -316,8 +332,13 @@ def init_state(
         bps = u0.breakpoints or (h0,)
         span_lo = min(h0, min(bps))
         span_hi = max(h0, max(bps))
-        n_left = max(6, math.ceil((h0 - (span_lo - pad)) / dx))
-        n_right = max(6, math.ceil(((span_hi + pad) - h0) / dx))
+        left = (h0 - (span_lo - pad)) / dx
+        right = ((span_hi + pad) - h0) / dx
+        keys = "'T', 'mu' and 'dx'"
+        _refuse_oversized(left + right, keys)  # math.ceil fails on inf
+        n_left = max(6, math.ceil(left))
+        n_right = max(6, math.ceil(right))
+        _refuse_oversized(n_left + n_right, keys)
         j_min = 1 - n_left
     # anchor the mesh at the particle so the interface sits exactly at h0
     edges = h0 + dx * (np.arange(n_left + n_right + 1) - n_left)
@@ -555,8 +576,12 @@ def run(
 
     advance = step if cfg.velocity_update is VelocityUpdate.EXPLICIT else step_implicit
 
-    # one row per state: (t, h, v, boundary flux, *make_record(...))
-    rows = [(0.0, particle.h, particle.v, 0.0, *make_record(grid, particle, cfg.lam))]
+    # one row per state: (t, h, v, boundary flux); make_record's columns
+    # come per block of states
+    rows = [(0.0, particle.h, particle.v, 0.0)]
+    records: list[list[float]] = [[] for _ in range(6)]
+    block = RecordBlock(grid)
+    block.add(grid, particle)
     snapshots: list[tuple[float, FluidGrid]] = [(0.0, grid)]
     next_req = 0
     t = 0.0
@@ -576,13 +601,21 @@ def run(
         prev_v, leak = particle.v, rows[-1][3]
         grid, particle = advance(grid, particle, cfg, dt)
         t = t_next
-        record = make_record(grid, particle, cfg.lam, prev_v, dt)
-        rows.append((t, particle.h, particle.v, leak + grid.leak, *record))
+        rows.append((t, particle.h, particle.v, leak + grid.leak))
+        if block.add(grid, particle, abs(particle.v - prev_v) / dt):
+            for column, values in zip(records, make_record(block, cfg.lam)):
+                column += values
+            block = RecordBlock(grid)
         if store_all and t != cfg.T:
             snapshots.append((t, grid))
+    if block.states:
+        for column, values in zip(records, make_record(block, cfg.lam)):
+            column += values
     if snapshots[-1][0] != t:
         snapshots.append((t, grid))
-    return Trajectory(*np.array(rows).T, snapshots=snapshots, env=env, cfg=cfg, dx=dx)
+    return Trajectory(
+        *np.array(rows).T, *map(np.array, records), snapshots=snapshots, env=env, cfg=cfg, dx=dx
+    )
 
 
 def sample_solution(traj: Trajectory, t: float, x: float) -> tuple[float, float, float]:

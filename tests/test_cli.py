@@ -1,3 +1,9 @@
+import hashlib
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -13,6 +19,8 @@ from burgers_particle.cli import (
 )
 from burgers_particle.flux import BulkFluxKind, InterfaceFluxKind
 from burgers_particle.scheme import BoundaryGuardError, Domain, VelocityUpdate
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 MINIMAL = """
 # minimal valid configuration
@@ -132,6 +140,20 @@ def test_csv_writer_bytes_match_the_per_value_formatter(tmp_path):
     assert (tmp_path / "t.csv").read_bytes() == expected.encode("utf-8")
     cli._write_csv(tmp_path / "rows.csv", ["a", "b", "c"], zip(*rows))
     assert (tmp_path / "rows.csv").read_bytes() == expected.encode("utf-8")
+
+
+def test_snapshot_files_format_every_cell_as_the_writer_does(tmp_path):
+    # Far-field cells are formatted once per snapshot and repeated; unequal
+    # far fields (1 and -1) must still land on their own sides.
+    cfg = parse_config(MINIMAL + "v0 = 0.5\nsnapshots = 0.25\n")
+    assert cmd_run(cfg, tmp_path / "out") == 0
+    traj = cli.run(cfg.u0, cfg.h0, cfg.v0, cfg.scheme, cfg.dx, snapshot_times=cfg.snapshot_times)
+    assert len(traj.snapshots) == 3
+    for t, grid in traj.snapshots:
+        assert 0 < grid.lo and grid.hi < grid.n and grid.u[0] != grid.u[-1]
+        cli._write_csv(tmp_path / "expected.csv", ["x", "u"], [grid.cell_centers(), grid.u])
+        written = (tmp_path / "out" / f"u_{t:.6f}.csv").read_bytes()
+        assert written == (tmp_path / "expected.csv").read_bytes()
 
 
 def test_parse_reports_line_numbers():
@@ -359,3 +381,49 @@ def test_main_reports_boundary_guard(tmp_path, monkeypatch, capsys):
         "FAIL check=boundary_guard value=disturbance reached the padded boundary; "
         "enlarge the domain\n"
     )
+
+
+@pytest.mark.parametrize(
+    "replace,add,keys",
+    [
+        ("mu = 0.25", "mu = 1e-9", ("'T'", "'mu'", "'dx'")),  # about 3e10 cells of padding
+        ("mu = 0.25", "mu = 5e-324", ("'T'", "'mu'", "'dx'")),  # 3*T/mu overflows
+        ("", "domain = periodic\nhalf_width = 1e6", ("'half_width'", "'dx'")),
+    ],
+)
+@pytest.mark.parametrize("command", ["run", "convergence"])
+def test_oversized_windows_exit_2_naming_the_keys(replace, add, keys, command, tmp_path, capsys):
+    # Each window would need more than 10^7 cells; the refusal comes before
+    # the window is allocated, and no file is written.
+    text = MINIMAL.replace(replace, "") if replace else MINIMAL
+    if command == "convergence":
+        text = text.replace("dx = 0.1", "dx = 0.1, 0.05, 0.025")
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(text + add + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([command, str(cfg_path), "--out", str(out)]) == 2
+    fail = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    assert len(fail) == 1 and "more than 10000000" in fail[0]
+    assert all(key in fail[0] for key in keys)
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("workload", ["compact-run", "periodic-dense"])
+def test_run_writes_the_reference_bytes(workload, tmp_path, monkeypatch):
+    # The benchmark's byte-identity oracle: the compact and the seed-0
+    # periodic configs, built by bench/run.py itself, write CSV files whose
+    # SHA-256 digests are those stored in bench/reference/digests.json.
+    monkeypatch.syspath_prepend(str(BENCH))  # bench/run.py imports spans
+    spec = importlib.util.spec_from_file_location("bench_run", BENCH / "run.py")
+    bench = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "bench_run", bench)
+    spec.loader.exec_module(bench)
+    digests = json.loads((BENCH / "reference" / "digests.json").read_text())
+    assert digests["seed"] == 0
+    config = {"compact-run": bench.compact_run, "periodic-dense": bench.periodic_dense}[workload]
+    cfg_path = tmp_path / "workload.cfg"
+    cfg_path.write_text(config(0, False), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", str(cfg_path), "--out", str(out)]) == 0
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert written == digests["workloads"][workload]

@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from burgers_particle.diagnostics import (
-    EXACT_SUM_MIN_LEN,
     TAU_NUM,
     MaximalityVerdict,
     _exact_sum,
+    _leaf,
     _linspace17,
+    _pairwise_sum,
     _row_min,
     _three_smallest,
     bounds_envelope,
@@ -119,8 +120,8 @@ _pool_values = st.one_of(
 @given(
     pool=st.lists(_pool_values, min_size=1, max_size=8),
     n=st.one_of(
-        st.integers(0, 2 * EXACT_SUM_MIN_LEN),
-        st.sampled_from([EXACT_SUM_MIN_LEN - 1, EXACT_SUM_MIN_LEN, 5000]),
+        st.integers(0, 1200),
+        st.sampled_from([599, 600, 5000]),
     ),
     seed=st.integers(0, 2**32 - 1),
     mirror=st.booleans(),
@@ -129,8 +130,7 @@ _pool_values = st.one_of(
 def test_exact_sum_has_the_bits_of_fsum(pool, n, seed, mirror, tails):
     # Terms drawn from a small pool mix signed zeros, subnormals and
     # magnitudes from 1e-300 to 1e300; a mirrored half cancels to an exact
-    # zero.  Lengths fall on both sides of the crossover to math.fsum, and
-    # the tails stand for up to 20000 copies of one value each.
+    # zero.  The tails stand for up to 20000 copies of one value each.
     x = np.random.default_rng(seed).choice(np.array(pool), n)
     if mirror:
         x = np.concatenate([x, -x[::-1]])
@@ -145,9 +145,117 @@ def test_exact_sum_keeps_terms_that_scaling_would_flush(tiny):
     # 2**1000 + 2**947 lies halfway between two floats, so the sign of a
     # tiny third term decides the rounding; scaling the large terms into
     # range must not flush it to zero.
-    x = np.zeros(2 * EXACT_SUM_MIN_LEN)
+    x = np.zeros(1200)
     x[:3] = 2.0**1000, 2.0**947, tiny
     assert _exact_sum(x).hex() == math.fsum(x.tolist()).hex()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    widths=st.lists(st.integers(0, 700), min_size=1, max_size=6),
+    pool=st.lists(_pool_values, min_size=1, max_size=8),
+    seed=st.integers(0, 2**32 - 1),
+    mirror=st.lists(st.booleans(), min_size=6, max_size=6),
+    tails=st.lists(
+        st.lists(st.tuples(st.integers(0, 20_000), _pool_values), max_size=2),
+        min_size=6,
+        max_size=6,
+    ),
+)
+def test_exact_sum_of_a_block_has_the_bits_of_fsum_per_row(widths, pool, seed, mirror, tails):
+    # A block of rows of mixed widths, zero-padded to the widest: rows of
+    # width 0 sum their tails alone, mirrored rows cancel to an exact zero,
+    # and a row mixing 1e300 with 1e-300 takes the fsum fallback, while the
+    # other rows of the block take the extraction.
+    rng = np.random.default_rng(seed)
+    terms = []
+    for width, m in zip(widths, mirror):
+        x = rng.choice(np.array(pool), width).tolist()
+        terms.append(x + [-t for t in reversed(x)] if m else x)
+    block = np.zeros((len(terms), max(map(len, terms))))
+    for row, x in zip(block, terms):
+        row[: len(x)] = x
+    tails = tails[: len(terms)]
+    expected = [math.fsum(x + [c for k, c in t for _ in range(k)]) for x, t in zip(terms, tails)]
+    assert [r.hex() for r in _exact_sum(block, tails)] == [e.hex() for e in expected]
+
+
+def test_exact_sum_of_a_block_with_an_underflowing_row():
+    # The middle row needs the fsum fallback (its scaling would flush
+    # 5e-324), the last one sums to an exact zero; both sit between rows
+    # that take the extraction.
+    rows = np.zeros((4, 5))
+    rows[0, :3] = 0.1, 0.2, 0.3
+    rows[1, :3] = 2.0**1000, 2.0**947, 5e-324
+    rows[2, :2] = 1e-300, 3.0
+    rows[3, :4] = 0.5, -0.25, -0.25, -0.0
+    tails = [((3, 0.1),), (), ((2, -1e-300),), ((7, 0.0), (0, 2.5))]
+    expected = [
+        math.fsum(row.tolist() + [c for k, c in t for _ in range(k)])
+        for row, t in zip(rows, tails)
+    ]
+    assert [r.hex() for r in _exact_sum(rows, tails)] == [e.hex() for e in expected]
+    empty = np.zeros((2, 0))
+    assert _exact_sum(empty, [((3, 0.1),), ()]) == [math.fsum([0.1] * 3), 0.0]
+
+
+_LEAF_EDGES = [1, 5, 7, 8, 9, 127, 128, 129, 136, 255, 256, 257, 20_000]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.one_of(st.integers(1, 20_000), st.sampled_from(_LEAF_EDGES)),
+    data=st.data(),
+)
+def test_pairwise_sum_has_the_bits_of_np_sum(n, data):
+    # numpy's np.sum of a float64 row is a pairwise tree whose shape is an
+    # implementation detail; the emulation must give its bits for every
+    # length, including a lone leaf (below 8 terms, exactly 128) and the
+    # first split (129), for nonzero ranges anywhere, starting or ending on
+    # a leaf boundary, at magnitudes from 1e-12 to 1e6.  If a numpy release
+    # changes the tree, this fails instead of the CSV bytes changing.
+    r0 = data.draw(st.integers(0, n - 1), label="r0")
+    r1 = data.draw(st.integers(r0 + 1, n), label="r1")
+    if data.draw(st.booleans(), label="start on a leaf boundary"):
+        r0 = _leaf(r0, n)[0]
+    if data.draw(st.booleans(), label="end on a leaf boundary"):
+        r1 = _leaf(r1 - 1, n)[1]
+    k = data.draw(st.integers(1, 4), label="rows")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    terms = np.zeros((k, n))
+    scale = 10.0 ** rng.uniform(-12.0, 6.0, (k, 1))
+    terms[:, r0:r1] = np.abs(rng.standard_normal((k, r1 - r0))) * scale
+    a, b = _leaf(r0, n)[0], _leaf(r1 - 1, n)[1]
+    got = _pairwise_sum(terms[:, a:b], a, 0, n)
+    assert [x.hex() for x in got.tolist()] == [float(np.sum(row)).hex() for row in terms]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(4, 20_000),
+    data=st.data(),
+    periodic=st.booleans(),
+)
+def test_total_variation_has_the_bits_of_np_sum_over_the_window(n, data, periodic):
+    # One window: cells outside the active range [lo, hi) hold the
+    # far-field values, and the variation read from the leaves around the
+    # range has the bits of np.sum over the whole window.
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    scale = 10.0 ** rng.uniform(-12.0, 6.0)
+    first, last = rng.uniform(-1.0, 1.0, 2) * scale
+    if periodic:
+        lo, hi, p0 = 0, n, data.draw(st.integers(0, n - 2), label="p0")
+    else:
+        p0 = data.draw(st.integers(1, n - 3), label="p0")
+        lo = data.draw(st.integers(1, p0), label="lo")
+        hi = data.draw(st.integers(p0 + 2, n - 1), label="hi")
+    middle = rng.uniform(-1.0, 1.0, hi - lo) * scale
+    u = np.concatenate([np.full(lo, first), middle, np.full(n - hi, last)])
+    grid = FluidGrid(u=u, dx=0.1, left_edge=0.0, j_min=-p0, periodic=periodic, lo=lo, hi=hi)
+    expected = float(np.sum(np.abs(np.diff(u))))
+    if periodic:
+        expected += abs(float(u[0]) - float(u[-1]))
+    assert total_variation(grid).hex() == expected.hex()
 
 
 def test_total_variation_examples():

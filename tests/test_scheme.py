@@ -7,12 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from burgers_particle.diagnostics import (
-    EXACT_SUM_MIN_LEN,
     bounds_envelope,
     total_momentum,
     total_variation,
 )
-from burgers_particle import scheme
+from burgers_particle import diagnostics, scheme
 from burgers_particle.flux import BulkFluxKind, InterfaceFluxKind, interface_fluxes
 from burgers_particle.scheme import (
     BoundaryGuardError,
@@ -355,8 +354,8 @@ def _reference_run(u0, h0, v0, cfg, dx):
     return states, dict(zip(_COLUMNS, zip(*rows)))
 
 
-def _assert_matches_reference(traj, states, columns):
-    assert len(traj.snapshots) == len(states) > 10
+def _assert_matches_reference(traj, states, columns, min_states=11):
+    assert len(traj.snapshots) == len(states) >= min_states
     for (t, grid), (t_ref, u_ref) in zip(traj.snapshots, states):
         assert t == t_ref
         assert grid.u.tobytes() == u_ref.tobytes()
@@ -387,11 +386,10 @@ def test_run_matches_full_window_reference(iface, bulk, update):
 
 @pytest.mark.parametrize("domain", list(Domain))
 def test_run_matches_full_window_reference_on_long_sums(domain):
-    # Momentum sums of EXACT_SUM_MIN_LEN cells or more take the integer
-    # extraction path of the exact sum instead of math.fsum; the records must
-    # still have the bits of fsum over the whole window.  The periodic box
-    # sums all its cells; the padded active range starts below the crossover
-    # length and ends above it.
+    # Long sums: the records must have the bits of fsum and np.sum over the
+    # whole window.  The periodic box sums all its cells; the padded active
+    # range starts below 600 cells and ends above, so the rows of a record
+    # block differ in width.
     u0 = PiecewiseConstant(breakpoints=(-5.9, 0.0, 5.9), values=(-0.6, 1.1, -0.7, 0.9))
     kw = {"half_width": 6.5} if domain is Domain.PERIODIC else {}
     cfg = base_cfg(T=0.15, m_p=0.5, bulk=BulkFluxKind.ENGQUIST_OSHER, domain=domain, **kw)
@@ -399,9 +397,109 @@ def test_run_matches_full_window_reference_on_long_sums(domain):
     _assert_matches_reference(traj, *_reference_run(u0, 0.0, 0.2, cfg, 0.02))
     sizes = [grid.hi - grid.lo for _, grid in traj.snapshots]
     if domain is Domain.PERIODIC:
-        assert min(sizes) >= EXACT_SUM_MIN_LEN
+        assert min(sizes) >= 600
     else:
-        assert sizes[0] < EXACT_SUM_MIN_LEN <= sizes[-1]
+        assert sizes[0] < 600 <= sizes[-1]
+
+
+def _record_blocks(monkeypatch, cells=None):
+    """Count the states of each make_record call of run; with ``cells``,
+    cap the blocks at that many cell values."""
+    if cells is not None:
+        monkeypatch.setattr(diagnostics, "RECORD_BLOCK_CELLS", cells)
+    sizes = []
+    real = scheme.make_record
+
+    def make_record(block, lam):
+        sizes.append(len(block.states))
+        return real(block, lam)
+
+    monkeypatch.setattr(scheme, "make_record", make_record)
+    return sizes
+
+
+@pytest.mark.parametrize("domain", list(Domain))
+@pytest.mark.parametrize("store_all", [True, False])
+def test_run_records_across_block_boundaries(domain, store_all, monkeypatch):
+    # Small blocks: the run's states split into several make_record calls,
+    # and the last block is shorter than the others.  Every column keeps
+    # its bits; without store_all the columns equal those of the run that
+    # stores every state.
+    u0 = PiecewiseConstant(breakpoints=(-0.3, 0.0, 0.25), values=(-0.6, 1.1, -0.7, 0.9))
+    kw = {"half_width": 9.0} if domain is Domain.PERIODIC else {}
+    cfg = base_cfg(T=0.3, m_p=0.5, domain=domain, **kw)
+    reference = _reference_run(u0, 0.0, 0.2, cfg, 0.05)
+    full = run(u0, 0.0, 0.2, cfg, 0.05, store_all=True)
+    # three states of the 360-cell periodic box per block
+    sizes = _record_blocks(monkeypatch, cells=3 * (360 + 2 * 128))
+    traj = run(u0, 0.0, 0.2, cfg, 0.05, store_all=store_all)
+    assert len(sizes) > 2 and sum(sizes) == len(traj.times)
+    assert sizes[-1] < max(sizes)
+    if store_all:
+        _assert_matches_reference(traj, *reference)
+    for name in _COLUMNS:
+        assert getattr(traj, name).tobytes() == getattr(full, name).tobytes(), name
+
+
+@pytest.mark.parametrize("domain", list(Domain))
+@pytest.mark.parametrize("T", [0.0, 0.005])
+def test_run_records_a_single_block_of_one_or_two_states(domain, T, monkeypatch):
+    # T = 0 records the initial state alone; T = 0.005 is a single step
+    # (the nominal step is 1/180).
+    u0 = PiecewiseConstant(breakpoints=(-0.3, 0.0, 0.25), values=(-0.6, 1.1, -0.7, 0.9))
+    kw = {"half_width": 4.0} if domain is Domain.PERIODIC else {}
+    cfg = base_cfg(T=T, m_p=0.5, domain=domain, **kw)
+    sizes = _record_blocks(monkeypatch)
+    traj = run(u0, 0.0, 0.2, cfg, 0.05, store_all=True)
+    states, columns = _reference_run(u0, 0.0, 0.2, cfg, 0.05)
+    assert sizes == [len(states)] == [1 if T == 0.0 else 2]
+    _assert_matches_reference(traj, states, columns, min_states=len(states))
+
+
+def test_run_propagates_a_guard_error_raised_inside_a_block(monkeypatch):
+    # The fifth step raises while its block still waits for make_record:
+    # the error reaches the caller, no record is made, and run returns
+    # nothing.
+    sizes = _record_blocks(monkeypatch)
+    real_step = scheme.step
+    steps = []
+
+    def step(grid, particle, cfg, dt):
+        steps.append(dt)
+        if len(steps) == 5:
+            raise BoundaryGuardError("disturbance reached the padded boundary; enlarge the domain")
+        return real_step(grid, particle, cfg, dt)
+
+    monkeypatch.setattr(scheme, "step", step)
+    u0 = PiecewiseConstant.riemann(1.0, -1.0, 0.0)
+    result = []
+    with pytest.raises(BoundaryGuardError):
+        result.append(run(u0, 0.0, 0.5, base_cfg(T=0.5), 0.05))
+    assert len(steps) == 5 and sizes == [] and result == []
+
+
+@pytest.mark.parametrize(
+    "kw,keys",
+    [
+        ({"mu": 1e-9}, ("'T'", "'mu'", "'dx'")),  # about 3e10 cells of padding
+        ({"mu": 5e-324}, ("'T'", "'mu'", "'dx'")),  # 3*T/mu overflows to inf
+        ({"domain": Domain.PERIODIC, "half_width": 1e6}, ("'half_width'", "'dx'")),
+    ],
+)
+def test_init_state_refuses_oversized_windows(kw, keys):
+    u0 = PiecewiseConstant.riemann(1.0, -1.0, 0.0)
+    with pytest.raises(ValueError, match="more than 10000000") as err:
+        init_state(u0, 0.0, 0.0, base_cfg(**kw), 0.1)
+    assert all(key in str(err.value) for key in keys)
+
+
+def test_init_state_counts_whole_cells_against_the_limit():
+    # Unrounded, the window holds 4999999.3 + 5000000.6 < 10^7 cells; each
+    # side rounds up to whole cells, 10000001 in all, which is refused.
+    u0 = PiecewiseConstant(breakpoints=(0.0, 1.3), values=(0.0, 1.0, 0.0))
+    cfg = base_cfg(T=4999993.3 / 3.0, dt_override=1.0)
+    with pytest.raises(ValueError, match="would hold 10000001 cells"):
+        init_state(u0, 0.0, 0.0, cfg, 1.0)
 
 
 def test_implicit_boundary_flux_uses_the_flux_speed():
