@@ -27,7 +27,7 @@ import sys
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -41,6 +41,7 @@ from .flux import BulkFluxKind, InterfaceFluxKind, lipschitz_bound
 from .scheme import (
     BoundaryGuardError,
     Domain,
+    FluidGrid,
     PiecewiseConstant,
     SchemeConfig,
     VelocityUpdate,
@@ -229,20 +230,18 @@ def _fmt(x) -> str:
 
 def _column(column) -> tuple[str, Iterable]:
     """The %-format and the values of one CSV column.  A float array's
-    Python floats format with %.17g, the text _fmt gives them; any other
-    column goes through _fmt."""
+    Python floats format with %.17g, the text _fmt gives them.  A FluidGrid
+    stands for its cells u in that text, with each far-field value formatted
+    once and repeated outside the active range.  Any other column goes
+    through _fmt."""
     if isinstance(column, np.ndarray) and column.dtype.kind == "f":
         return "%.17g", column.tolist()
+    if isinstance(column, FluidGrid):
+        u, lo, hi = column.u, column.lo, column.hi
+        first, last = (format(c, ".17g") for c in u[[0, -1]].tolist())
+        active = map(format, u[lo:hi].tolist(), repeat(".17g"))
+        return "%s", chain(repeat(first, lo), active, repeat(last, column.n - hi))
     return "%s", map(_fmt, column)
-
-
-def _grid_cells(grid) -> Iterator[str]:
-    """``grid.u`` as _fmt formats it; each far-field value is formatted once
-    and repeated for the cells outside the active range."""
-    u, lo, hi = grid.u, grid.lo, grid.hi
-    first, last = (format(c, ".17g") for c in u[[0, -1]].tolist())
-    active = map(format, u[lo:hi].tolist(), repeat(".17g"))
-    return chain(repeat(first, lo), active, repeat(last, grid.n - hi))
 
 
 # Rows formatted by one %-operation in _write_csv: the per-row Python work
@@ -284,7 +283,7 @@ def cmd_run(cfg: ExperimentConfig, out_dir: Path) -> int:
         [traj.times, traj.h, traj.v, traj.momentum, traj.tv, traj.accel, traj.trace_germ_dist],
     )
     for name, (_, grid) in zip(names, traj.snapshots):
-        _write_csv(out_dir / name, ["x", "u"], [grid.cell_centers(), _grid_cells(grid)])
+        _write_csv(out_dir / name, ["x", "u"], [grid.cell_centers(), grid])
 
     status = 0
     env = traj.env

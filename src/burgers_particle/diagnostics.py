@@ -238,11 +238,11 @@ class RecordBlock:
         self.states: list[tuple] = []
         self.lo, self.hi = grid.n, 0  # union of the active ranges
 
-    def add(self, grid: "FluidGrid", particle: "ParticleState", accel: float = 0.0) -> bool:
-        """Copy a state in, with its acceleration |v - prev_v| / dt.  True
-        when the block is full: one more state as wide as the union of the
-        active ranges would take the row matrix, at most two leaves wider
-        than that union, past RECORD_BLOCK_CELLS values.
+    def add(self, grid: "FluidGrid", particle: "ParticleState") -> bool:
+        """Copy a state in.  True when the block is full: one more state as
+        wide as the union of the active ranges would take the row matrix, at
+        most two leaves wider than that union, past RECORD_BLOCK_CELLS
+        values.
 
         A state active over its whole window keeps its own cells: no step
         changes a grid's cells in place, and a copy would hold as many."""
@@ -250,7 +250,7 @@ class RecordBlock:
         self.states.append((
             u if hi - lo == grid.n else u[lo:hi].copy(), lo, hi, float(u[0]),
             float(u[-1]), float(u[p0]), float(u[p0 + 1]), particle.v,
-            particle.m_p * particle.v, accel,
+            particle.m_p * particle.v,
         ))
         self.lo, self.hi = min(self.lo, lo), max(self.hi, hi)
         width = self.hi - self.lo + 2 * _LEAF
@@ -258,7 +258,7 @@ class RecordBlock:
 
 
 def make_record(block: RecordBlock, lam: float) -> tuple[list[float], ...]:
-    """Columns (momentum, tv, u_min, u_max, accel, trace_germ_dist) of the
+    """Columns (momentum, tv, u_min, u_max, trace_germ_dist) of the
     states of a block, one float per state, with the bits of
     ``total_momentum``, ``total_variation`` and min/max over each window.
 
@@ -269,7 +269,7 @@ def make_record(block: RecordBlock, lam: float) -> tuple[list[float], ...]:
     """
     n = block.n
     a, b = _variation_cells(n, block.lo, block.hi)
-    cells, lo, hi, first, last, u_p0, u_p1, v, mv, accel = zip(*block.states)
+    cells, lo, hi, first, last, u_p0, u_p1, v, mv = zip(*block.states)
     if len(cells) == 1 and cells[0].shape[0] == b - a:
         rows = cells[0][None]  # one state whose active cells are the rows
     else:
@@ -286,7 +286,6 @@ def make_record(block: RecordBlock, lam: float) -> tuple[list[float], ...]:
         _variation(rows, a, n, block.periodic).tolist(),
         u_min.tolist(),
         u_max.tolist(),
-        list(accel),
         [dist1_to_H((p, q), w, lam) for p, q, w in zip(u_p0, u_p1, v)],
     )
 

@@ -256,24 +256,36 @@ class Trajectory:
     h: np.ndarray
     v: np.ndarray
     boundary_flux: np.ndarray
+    accel: np.ndarray
     momentum: np.ndarray
     tv: np.ndarray
     u_min: np.ndarray
     u_max: np.ndarray
-    accel: np.ndarray
     trace_germ_dist: np.ndarray
     snapshots: list[tuple[float, FluidGrid]]
     env: BoundsEnvelope
-    cfg: SchemeConfig
-    dx: float
 
 
-def _effective_mu(cfg: SchemeConfig, env: BoundsEnvelope) -> tuple[float, float]:
-    """Mesh ratio allowed by the CFL condition L*mu <= 1/2, and L."""
-    L = lipschitz_bound(cfg.bulk, env.m, env.M, env.v_lo, env.v_hi, cfg.lam)
-    if not math.isfinite(L):
-        raise ValueError("non-finite Lipschitz bound")
-    return (cfg.mu if L == 0.0 else min(cfg.mu, 0.5 / L)), L
+def _time_step(cfg: SchemeConfig, env: BoundsEnvelope, dx: float) -> tuple[float, float, str]:
+    """The nominal step dt, its ratio dt/dx and the config key that sets it:
+    ``dt_override``, else the CFL step for L*mu <= 1/2, or for an explicit
+    velocity update the mass step m_p/(4L) (4*L*dt/m_p <= 1) when smaller.
+    A ratio that underflows to 0 is refused, naming the key."""
+    if cfg.dt_override is not None:
+        dt, ratio, key = cfg.dt_override, cfg.dt_override / dx, "'dt_override'"
+    else:
+        L = lipschitz_bound(cfg.bulk, env.m, env.M, env.v_lo, env.v_hi, cfg.lam)
+        if not math.isfinite(L):
+            raise ValueError("non-finite Lipschitz bound")
+        ratio = cfg.mu if L == 0.0 else min(cfg.mu, 0.5 / L)
+        dt, key = ratio * dx, "'mu'"
+        if cfg.velocity_update is VelocityUpdate.EXPLICIT and L > 0.0:
+            dt_mass = cfg.m_p / (4.0 * L)
+            if dt_mass < dt:
+                dt, ratio, key = dt_mass, dt_mass / dx, "'mass'"
+    if not ratio > 0.0:
+        raise ValueError(f"the time step {dt!r} has dt/dx = {ratio!r}; check {key}")
+    return dt, ratio, key
 
 
 # Most cells init_state lays out: each step copies and updates arrays of
@@ -299,17 +311,16 @@ def init_state(
 ) -> tuple[FluidGrid, ParticleState]:
     """Exact cell averaging of the initial datum on a mesh aligned with h0.
 
-    The padded domain covers the datum's support widened by three times the
-    distance a disturbance can travel before the final time (one cell per
-    step).  The periodic domain uses the configured half width, rejected when
-    smaller than 3*T/mu.  A window of more than MAX_CELLS cells is refused
-    before anything is allocated.
+    The padded domain covers the datum's support widened on each side by
+    three cells per step of ``_time_step`` (a disturbance moves at most one
+    cell per step) and six more.  The periodic domain uses the configured
+    half width, rejected when smaller than 3*T/mu.  A window of more than
+    MAX_CELLS cells is refused before anything is allocated.
     """
     if dx <= 0.0:
         raise ValueError(f"cell width must be positive, got dx={dx}")
     if not (math.isfinite(h0) and math.isfinite(v0)):
         raise ValueError("initial position and velocity must be finite")
-    env = bounds_envelope(u0, v0, cfg.lam, split=h0)
     if cfg.domain is Domain.PERIODIC:
         a = cfg.half_width
         guard = 3.0 * cfg.T / cfg.mu
@@ -322,19 +333,15 @@ def init_state(
         n_left = n_right = m_c
         j_min = 1 - m_c
     else:
-        if cfg.dt_override is not None:
-            mu_eff = cfg.dt_override / dx
-        else:
-            mu_eff = _effective_mu(cfg, env)[0]
+        _, ratio, key = _time_step(cfg, bounds_envelope(u0, v0, cfg.lam, split=h0), dx)
         # Three times the influence length, plus a few cells so no datum
         # feature starts inside the boundary guard zone.
-        pad = 3.0 * cfg.T / mu_eff + 6.0 * dx
-        bps = u0.breakpoints or (h0,)
-        span_lo = min(h0, min(bps))
-        span_hi = max(h0, max(bps))
+        pad = 3.0 * cfg.T / ratio + 6.0 * dx
+        span = (h0, *u0.breakpoints)
+        span_lo, span_hi = min(span), max(span)
         left = (h0 - (span_lo - pad)) / dx
         right = ((span_hi + pad) - h0) / dx
-        keys = "'T', 'mu' and 'dx'"
+        keys = f"'T', {key} and 'dx'"
         _refuse_oversized(left + right, keys)  # math.ceil fails on inf
         n_left = max(6, math.ceil(left))
         n_right = max(6, math.ceil(right))
@@ -360,13 +367,9 @@ def compute_dt(
     cfg: SchemeConfig,
     env: BoundsEnvelope,
 ) -> float:
-    """Largest time step honoring the CFL condition L*mu <= 1/2 and, for the
-    explicit velocity update, the mass condition 4*L*dt/m_p <= 1."""
-    mu_eff, L = _effective_mu(cfg, env)
-    dt = mu_eff * grid.dx
-    if cfg.velocity_update is VelocityUpdate.EXPLICIT and L > 0.0:
-        dt = min(dt, particle.m_p / (4.0 * L))
-    return dt
+    """The nominal step of ``_time_step``, the rule that also sizes the padded
+    window; it reads the mass from ``cfg``, not from ``particle``."""
+    return _time_step(cfg, env, grid.dx)[0]
 
 
 def face_fluxes(
@@ -552,16 +555,14 @@ def run(
 ) -> Trajectory:
     """Integrate the coupled system up to the final time.
 
-    The nominal step comes from ``compute_dt`` (or ``cfg.dt_override``); the
-    last step is truncated so the final time is hit exactly.  Snapshots are
-    stored at t = 0, at the final time, at every requested time (the state
-    whose time slab covers it), or at every step with ``store_all``.
+    The nominal step comes from ``compute_dt``; the last step is truncated
+    so the final time is hit exactly.  Snapshots are stored at t = 0, at the
+    final time, at every requested time (the state whose time slab covers
+    it), or at every step with ``store_all``.
     """
     env = bounds_envelope(u0, v0, cfg.lam, split=h0)
     grid, particle = init_state(u0, h0, v0, cfg, dx)
-    dt_nom = cfg.dt_override if cfg.dt_override is not None else compute_dt(
-        grid, particle, cfg, env
-    )
+    dt_nom = compute_dt(grid, particle, cfg, env)
     if cfg.domain is Domain.PERIODIC and cfg.T > 0.0:
         a_eff = 0.5 * grid.n * dx
         guard = 3.0 * cfg.T * dx / dt_nom
@@ -576,10 +577,10 @@ def run(
 
     advance = step if cfg.velocity_update is VelocityUpdate.EXPLICIT else step_implicit
 
-    # one row per state: (t, h, v, boundary flux); make_record's columns
-    # come per block of states
-    rows = [(0.0, particle.h, particle.v, 0.0)]
-    records: list[list[float]] = [[] for _ in range(6)]
+    # one row per state: (t, h, v, boundary flux, |v - prev_v|/dt);
+    # make_record's columns come per block of states
+    rows = [(0.0, particle.h, particle.v, 0.0, 0.0)]
+    records: list[list[float]] = [[] for _ in range(5)]
     block = RecordBlock(grid)
     block.add(grid, particle)
     snapshots: list[tuple[float, FluidGrid]] = [(0.0, grid)]
@@ -601,8 +602,8 @@ def run(
         prev_v, leak = particle.v, rows[-1][3]
         grid, particle = advance(grid, particle, cfg, dt)
         t = t_next
-        rows.append((t, particle.h, particle.v, leak + grid.leak))
-        if block.add(grid, particle, abs(particle.v - prev_v) / dt):
+        rows.append((t, particle.h, particle.v, leak + grid.leak, abs(particle.v - prev_v) / dt))
+        if block.add(grid, particle):
             for column, values in zip(records, make_record(block, cfg.lam)):
                 column += values
             block = RecordBlock(grid)
@@ -614,8 +615,7 @@ def run(
     if snapshots[-1][0] != t:
         snapshots.append((t, grid))
     return Trajectory(
-        *np.array(rows).T, *map(np.array, records), snapshots=snapshots, env=env, cfg=cfg, dx=dx
-    )
+        *np.array(rows).T, *map(np.array, records), snapshots=snapshots, env=env)
 
 
 def sample_solution(traj: Trajectory, t: float, x: float) -> tuple[float, float, float]:

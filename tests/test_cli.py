@@ -408,6 +408,50 @@ def test_oversized_windows_exit_2_naming_the_keys(replace, add, keys, command, t
     assert list(out.iterdir()) == []
 
 
+LIGHT = """
+flux = rusanov
+lambda = 1
+mass = 0.003
+mu = 0.25
+T = 0.01
+dx = 0.01
+breakpoints = -0.1, 0, 0.1
+values = 0, 1, -0.5, 0
+"""
+
+
+def test_light_particle_run_fits_its_window(tmp_path, capsys):
+    # The mass condition sets the step, 80 steps against the 12 the CFL
+    # step would take; the padded window is sized by that step, so no
+    # disturbance reaches the boundary guard.
+    cfg_path = tmp_path / "light.cfg"
+    cfg_path.write_text(LIGHT, encoding="utf-8")
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().out == ""
+    rows = (tmp_path / "out" / "particle.csv").read_text().splitlines()
+    assert len(rows) == 1 + 81
+
+
+@pytest.mark.parametrize(
+    "mass,add,fragment",
+    [
+        # 2.4e11 steps, at least 3 cells per step on each side
+        ("1e-12", "", "more than 10000000; check 'T', 'mass' and 'dx'"),
+        # the mass step underflows to 0
+        ("5e-324", "", "has dt/dx = 0.0; check 'mass'"),
+        ("5e-324", "domain = periodic\nhalf_width = 1\n", "has dt/dx = 0.0; check 'mass'"),
+    ],
+)
+def test_tiny_mass_exits_2_naming_mass(mass, add, fragment, tmp_path, capsys):
+    cfg_path = tmp_path / "light.cfg"
+    cfg_path.write_text(LIGHT.replace("mass = 0.003", f"mass = {mass}") + add, encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", str(cfg_path), "--out", str(out)]) == 2
+    fail = capsys.readouterr().out.splitlines()
+    assert len(fail) == 1 and fail[0].startswith("FAIL check=execution") and fragment in fail[0]
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("workload", ["compact-run", "periodic-dense"])
 def test_run_writes_the_reference_bytes(workload, tmp_path, monkeypatch):
     # The benchmark's byte-identity oracle: the compact and the seed-0

@@ -151,6 +151,64 @@ def test_compute_dt_mass_condition_binds():
     assert compute_dt(grid, part, cfg_imp, env) == pytest.approx(0.05, rel=1e-15)
 
 
+def test_compute_dt_returns_the_override():
+    u0 = PiecewiseConstant.riemann(1.0, -1.0, 0.0)
+    cfg = base_cfg(m_p=1e-6, dt_override=0.004)  # the mass step is smaller
+    grid, part = init_state(u0, 0.0, 0.0, cfg, 0.1)
+    assert compute_dt(grid, part, cfg, bounds_envelope(u0, 0.0, 1.0)) == 0.004
+
+
+@pytest.mark.parametrize("bulk", BULKS)
+@pytest.mark.parametrize("update", list(VelocityUpdate))
+def test_padded_window_holds_three_cells_per_step_beyond_the_datum(bulk, update):
+    # A light particle: the mass condition sets the explicit step, several
+    # times shorter than the CFL step.  The window is sized by the step the
+    # run takes, so it holds at least 3 cells per step beyond the datum's
+    # span on each side, and no disturbance reaches the boundary guard.
+    u0 = PiecewiseConstant(breakpoints=(-0.1, 0.0, 0.1), values=(0.0, 1.0, -0.5, 0.0))
+    cfg = base_cfg(T=0.002, m_p=1e-4, bulk=bulk, velocity_update=update)
+    dx = 0.01
+    traj = run(u0, 0.0, 0.0, cfg, dx)
+    grid = traj.snapshots[0][1]
+    dt = compute_dt(grid, ParticleState(0.0, 0.0, cfg.m_p), cfg, traj.env)
+    assert (dt < 0.25 * cfg.mu * dx) is (update is VelocityUpdate.EXPLICIT)
+    steps = len(traj.times) - 1
+    assert steps == math.ceil(cfg.T / dt - 1e-9)
+    assert round((-0.1 - grid.left_edge) / dx) >= 3 * steps
+    assert round((grid.right_edge - 0.1) / dx) >= 3 * steps
+
+
+_COMPACT = PiecewiseConstant(breakpoints=(-0.4, 0.0, 0.3), values=(0.0, 1.1, -0.8, 0.0))
+_DATUM = PiecewiseConstant(breakpoints=(-0.1, 0.0, 0.1), values=(0.0, 1.0, -0.5, 0.0))
+_RIEMANN = PiecewiseConstant.riemann(1.0, -1.0, 0.0)
+_LIGHT_IMPLICIT = dict(mu=0.5, m_p=0.002, velocity_update=VelocityUpdate.IMPLICIT)
+
+
+@pytest.mark.parametrize(
+    "u0,v0,kw,dx,n,n_left",
+    [
+        # the benchmark's compact-run (CFL-bound)
+        (_COMPACT, 0.2, {}, 0.0025, 15173, 7606),
+        (_COMPACT, 0.2, {}, 0.01, 3802, 1906),
+        # the three implicit-light levels (implicit, CFL-bound)
+        *[
+            (_RIEMANN, 0.5, _LIGHT_IMPLICIT, dx, n, n_left)
+            for dx, n, n_left in ((0.02, 1812, 906), (0.01, 3612, 1806), (0.005, 7212, 3606))
+        ],
+        (_DATUM, 0.2, dict(T=0.3, mu=0.1, bulk=BulkFluxKind.ENGQUIST_OSHER), 0.01, 1832, 916),
+        # overrides; the first wins over a mass step 48 times shorter
+        (_DATUM, 0.2, dict(T=0.25, dt_override=0.004, m_p=0.001), 0.01, 408, 204),
+        (_DATUM, 0.2, dict(T=0.7, dt_override=0.003, bulk=BulkFluxKind.RUSANOV), 0.01, 1432, 716),
+    ],
+)
+def test_cfl_and_override_windows_keep_their_cell_counts(u0, v0, kw, dx, n, n_left):
+    # Pinned window sizes: the padding 3*T/ratio + 6*dx must keep its float
+    # for every step the mass condition does not set, or the window moves
+    # and the CLI's CSV bytes change.
+    grid, _ = init_state(u0, 0.0, v0, base_cfg(**kw), dx)
+    assert (grid.n, 1 - grid.j_min) == (n, n_left)
+
+
 # ---------------------------------------------------------------- step
 
 
@@ -483,6 +541,7 @@ def test_run_propagates_a_guard_error_raised_inside_a_block(monkeypatch):
     [
         ({"mu": 1e-9}, ("'T'", "'mu'", "'dx'")),  # about 3e10 cells of padding
         ({"mu": 5e-324}, ("'T'", "'mu'", "'dx'")),  # 3*T/mu overflows to inf
+        ({"T": 0.01, "m_p": 1e-12}, ("'T'", "'mass'", "'dx'")),  # 1.2e11 mass-bound steps
         ({"domain": Domain.PERIODIC, "half_width": 1e6}, ("'half_width'", "'dx'")),
     ],
 )
