@@ -231,16 +231,15 @@ def _fmt(x) -> str:
 def _column(column) -> tuple[str, Iterable]:
     """The %-format and the values of one CSV column.  A float array's
     Python floats format with %.17g, the text _fmt gives them.  A FluidGrid
-    stands for its cells u in that text, with each far-field value formatted
-    once and repeated outside the active range.  Any other column goes
-    through _fmt."""
+    stands for its cells u in that text, read from its compact form: each
+    far-field value is formatted once and repeated outside the active range.
+    Any other column goes through _fmt."""
     if isinstance(column, np.ndarray) and column.dtype.kind == "f":
         return "%.17g", column.tolist()
     if isinstance(column, FluidGrid):
-        u, lo, hi = column.u, column.lo, column.hi
-        first, last = (format(c, ".17g") for c in u[[0, -1]].tolist())
-        active = map(format, u[lo:hi].tolist(), repeat(".17g"))
-        return "%s", chain(repeat(first, lo), active, repeat(last, column.n - hi))
+        first, last = (format(c, ".17g") for c in (column.first, column.last))
+        active = map(format, column.cells.tolist(), repeat(".17g"))
+        return "%s", chain(repeat(first, column.lo), active, repeat(last, column.n - column.hi))
     return "%s", map(_fmt, column)
 
 

@@ -146,9 +146,8 @@ def total_momentum(grid: "FluidGrid", particle: "ParticleState") -> float:
     k * c, so the correctly rounded sum has the bits ``math.fsum`` gives
     over every cell.
     """
-    u, lo, hi = grid.u, grid.lo, grid.hi
-    tails = ((lo, float(u[0])), (grid.n - hi, float(u[-1])))
-    return particle.m_p * particle.v + grid.dx * _exact_sum(u[lo:hi], tails)
+    tails = ((grid.lo, grid.first), (grid.n - grid.hi, grid.last))
+    return particle.m_p * particle.v + grid.dx * _exact_sum(grid.cells, tails)
 
 
 # numpy's sum of a float64 row is a pairwise tree (pairwise_sum in numpy's
@@ -230,8 +229,8 @@ RECORD_BLOCK_CELLS = 1 << 14
 
 
 class RecordBlock:
-    """Consecutive states of one run waiting for ``make_record``: a copy of
-    each state's active cells and the scalars its record needs."""
+    """Consecutive states of one run waiting for ``make_record``: each
+    state's active cells and the scalars its record needs."""
 
     def __init__(self, grid: "FluidGrid"):
         self.n, self.dx, self.periodic = grid.n, grid.dx, grid.periodic
@@ -239,18 +238,17 @@ class RecordBlock:
         self.lo, self.hi = grid.n, 0  # union of the active ranges
 
     def add(self, grid: "FluidGrid", particle: "ParticleState") -> bool:
-        """Copy a state in.  True when the block is full: one more state as
+        """Add a state.  True when the block is full: one more state as
         wide as the union of the active ranges would take the row matrix, at
         most two leaves wider than that union, past RECORD_BLOCK_CELLS
         values.
 
-        A state active over its whole window keeps its own cells: no step
-        changes a grid's cells in place, and a copy would hold as many."""
-        u, lo, hi, p0 = grid.u, grid.lo, grid.hi, grid.particle_index
+        The block keeps the grid's own cells, no copy: no step changes a
+        grid's cells in place."""
+        cells, lo, hi, k = grid.cells, grid.lo, grid.hi, grid.particle_index - grid.lo
         self.states.append((
-            u if hi - lo == grid.n else u[lo:hi].copy(), lo, hi, float(u[0]),
-            float(u[-1]), float(u[p0]), float(u[p0 + 1]), particle.v,
-            particle.m_p * particle.v,
+            cells, lo, hi, grid.first, grid.last, float(cells[k]), float(cells[k + 1]),
+            particle.v, particle.m_p * particle.v,
         ))
         self.lo, self.hi = min(self.lo, lo), max(self.hi, hi)
         width = self.hi - self.lo + 2 * _LEAF
@@ -331,7 +329,8 @@ def entropy_residual(
 
     def faces(w):
         fm, fp = interface_fluxes(cfg.iface, cfg.bulk, w[p0], w[p0 + 1], v, cfg.lam)
-        return face_fluxes(grid, w, a, b, v, fm, fp, cfg.bulk)
+        ext = np.concatenate((w[-1:], w, w[:1])) if grid.periodic else w
+        return face_fluxes(ext, p0 - a, v, fm, fp, cfg.bulk)
 
     left_top, right_top = faces(np.maximum(u, c_arr))
     left_bot, right_bot = faces(np.minimum(u, c_arr))

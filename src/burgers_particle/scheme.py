@@ -52,7 +52,9 @@ class PiecewiseConstant:
 
     def __post_init__(self):
         bps = tuple(float(x) for x in self.breakpoints)
-        vals = tuple(float(x) for x in self.values)
+        # + 0.0 turns -0.0 into 0.0: a window reads every cell outside its
+        # active range as the far-field value, so the two zeros must be one.
+        vals = tuple(float(x) + 0.0 for x in self.values)
         object.__setattr__(self, "breakpoints", bps)
         object.__setattr__(self, "values", vals)
         if len(vals) != len(bps) + 1:
@@ -153,19 +155,21 @@ class SchemeConfig:
                 raise ValueError("periodic domain needs a positive half_width")
 
 
-def _active_range(u: np.ndarray, p0: int, start: int, stop: int) -> tuple[int, int]:
-    """Smallest [lo, hi) holding the particle cells p0, p0 + 1 and every cell
-    that differs from its far-field value: u[0] left of the particle, u[-1]
-    right of it.  Only [start, stop) is scanned; the caller knows the cells
-    outside it already equal their far-field value."""
-    left = np.flatnonzero(u[start:p0] != u[0])
-    right = np.flatnonzero(u[p0 + 2 : stop] != u[-1])
-    lo = start + int(left[0]) if left.size else p0
-    hi = p0 + 3 + int(right[-1]) if right.size else p0 + 2
+def _active_range(cells: np.ndarray, a: int, p0: int, first: float, last: float) -> tuple[int, int]:
+    """Smallest [lo, hi) inside [a, a + len(cells)) holding the particle cells
+    p0, p0 + 1 and every cell that differs from its far-field value: first
+    left of the particle, last right of it.  ``cells`` holds cells a, a + 1,
+    ...; the caller knows every other cell equals its far-field value.  The
+    scan runs inward from the ends, in Python: a step widens the range by at
+    most one cell a side, so it stops after a few cells."""
+    lo, hi = a, a + len(cells)
+    while lo < p0 and cells[lo - a] == first:
+        lo += 1
+    while hi > p0 + 2 and cells[hi - 1 - a] == last:
+        hi -= 1
     return lo, hi
 
 
-@dataclass(frozen=True)
 class FluidGrid:
     """Cell averages on a uniform mesh; the particle sits between cells 0 and 1.
 
@@ -173,53 +177,92 @@ class FluidGrid:
     left_edge + (j - j_min + 1) * dx) in the lab frame.
 
     ``[lo, hi)`` is the active range of array indices: every cell left of
-    ``lo`` equals the far-field value ``u[0]``, every cell from ``hi`` on
-    equals ``u[-1]``, and the particle cells are inside it.  It is computed
-    from ``u`` when not given; the step functions carry it forward.  Periodic
-    grids have no far field and use the full range.  ``leak`` is the momentum
-    that left a padded window through its edges during the step that produced
-    this grid (0 for an initial or periodic grid).
+    ``lo`` equals the far-field value ``first``, every cell from ``hi`` on
+    equals ``last``, and the particle cells are inside it.  The grid stores
+    the ``n`` cells in that compact form: ``cells`` holds those of the active
+    range, so a padded step costs its active cells, not its window.  ``u`` is
+    the whole window, read-only, built on first access.  The active range is
+    computed from ``u`` when not given.  Periodic grids have no far field and
+    use the full range.  ``leak`` is the momentum that left a padded window
+    through its edges during the step that produced this grid (0 for an
+    initial or periodic grid).
     """
 
-    u: np.ndarray
-    dx: float
-    left_edge: float
-    j_min: int
-    periodic: bool = False
-    lo: int | None = None
-    hi: int | None = None
-    leak: float = 0.0
+    __slots__ = ("cells", "first", "last", "n", "dx", "left_edge", "j_min", "periodic", "lo",
+                 "hi", "leak", "_u")
 
-    def __post_init__(self):
-        u = np.asarray(self.u, dtype=float)
-        object.__setattr__(self, "u", u)
-        if self.dx <= 0.0:
-            raise ValueError(f"cell width must be positive, got dx={self.dx}")
+    def __init__(
+        self, u: np.ndarray, dx: float, left_edge: float, j_min: int, periodic: bool = False,
+        lo: int | None = None, hi: int | None = None, leak: float = 0.0,
+    ):
+        u = np.asarray(u, dtype=float)
+        if dx <= 0.0:
+            raise ValueError(f"cell width must be positive, got dx={dx}")
         if u.ndim != 1 or u.shape[0] < 4:
             raise ValueError("grid needs at least 4 cells")
         n = u.shape[0]
-        p0 = -self.j_min
+        p0 = -j_min
         if not (0 <= p0 < n - 1):
             raise ValueError("particle interface must lie inside the grid")
-        if self.periodic:
+        if periodic:
             lo, hi = 0, n
-        elif self.lo is None or self.hi is None:
-            lo, hi = _active_range(u, p0, 0, n)
-        else:
-            lo, hi = self.lo, self.hi
-            if not (0 <= lo <= p0 and p0 + 2 <= hi <= n):
-                raise ValueError(f"active range [{lo}, {hi}) must hold the particle cells")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        elif lo is None or hi is None:
+            left = np.flatnonzero(u[:p0] != u[0])
+            right = np.flatnonzero(u[p0 + 2 :] != u[-1])
+            lo = int(left[0]) if left.size else p0
+            hi = p0 + 3 + int(right[-1]) if right.size else p0 + 2
+        elif not (0 <= lo <= p0 and p0 + 2 <= hi <= n):
+            raise ValueError(f"active range [{lo}, {hi}) must hold the particle cells")
         # cells outside the active range are copies of u[0] and u[-1]
         if not (
             np.all(np.isfinite(u[lo:hi])) and math.isfinite(u[0]) and math.isfinite(u[-1])
         ):
             raise ValueError("cell values must be finite")
+        self._set(
+            u[lo:hi], float(u[0]), float(u[-1]), n, dx, left_edge, j_min, periodic, lo, hi, leak
+        )
+        self._u = u.view()
+        self._u.flags.writeable = False
+
+    def _set(self, cells, first, last, n, dx, left_edge, j_min, periodic, lo, hi, leak):
+        self.cells, self.first, self.last, self.n = cells, first, last, n
+        self.dx, self.left_edge, self.j_min, self.periodic = dx, left_edge, j_min, periodic
+        self.lo, self.hi, self.leak = lo, hi, leak
+
+    @classmethod
+    def _trusted(
+        cls, cells: np.ndarray, first: float, last: float, mesh: "FluidGrid", left_edge: float,
+        lo: int, hi: int, leak: float,
+    ) -> "FluidGrid":
+        """A step's new grid in compact form on the mesh of ``mesh``, moved to
+        ``left_edge``.  The step has placed the range, so only the new cells
+        are checked: they must be finite."""
+        if not np.isfinite(cells).all():
+            raise ValueError("cell values must be finite")
+        grid = cls.__new__(cls)
+        grid._set(
+            cells, first, last, mesh.n, mesh.dx, left_edge, mesh.j_min, mesh.periodic, lo, hi, leak
+        )
+        grid._u = None
+        return grid
 
     @property
-    def n(self) -> int:
-        return self.u.shape[0]
+    def u(self) -> np.ndarray:
+        """Every cell of the window, read-only; built on first access."""
+        if self._u is None:
+            u = np.empty(self.n)
+            u[: self.lo] = self.first
+            u[self.lo : self.hi] = self.cells
+            u[self.hi :] = self.last
+            u.flags.writeable = False
+            self._u = u
+        return self._u
+
+    def _cell(self, i: int) -> float:
+        """u[i], read through the compact form."""
+        if i < self.lo:
+            return self.first
+        return self.last if i >= self.hi else float(self.cells[i - self.lo])
 
     @property
     def particle_index(self) -> int:
@@ -288,8 +331,9 @@ def _time_step(cfg: SchemeConfig, env: BoundsEnvelope, dx: float) -> tuple[float
     return dt, ratio, key
 
 
-# Most cells init_state lays out: each step copies and updates arrays of
-# this many float64 values (80 MB each).
+# Most cells init_state lays out.  A step stores and updates only the active
+# cells, but init_state averages every cell and each snapshot file writes one
+# row per cell, so this bounds a run's output: 10^7 rows, about 0.4 GB a file.
 MAX_CELLS = 10**7
 
 
@@ -315,7 +359,8 @@ def init_state(
     three cells per step of ``_time_step`` (a disturbance moves at most one
     cell per step) and six more.  The periodic domain uses the configured
     half width, rejected when smaller than 3*T/mu.  A window of more than
-    MAX_CELLS cells is refused before anything is allocated.
+    MAX_CELLS cells, more rows than a snapshot file may hold, is refused
+    before anything is allocated.
     """
     if dx <= 0.0:
         raise ValueError(f"cell width must be positive, got dx={dx}")
@@ -368,76 +413,84 @@ def compute_dt(
     env: BoundsEnvelope,
 ) -> float:
     """The nominal step of ``_time_step``, the rule that also sizes the padded
-    window; it reads the mass from ``cfg``, not from ``particle``."""
+    window.  Its mass condition reads ``cfg.m_p``, so a particle of another
+    mass is refused."""
+    if particle.m_p != cfg.m_p:
+        raise ValueError(
+            f"the particle's mass {particle.m_p!r} differs from the configured m_p {cfg.m_p!r}"
+        )
     return _time_step(cfg, env, grid.dx)[0]
 
 
 def face_fluxes(
-    grid: FluidGrid, w: np.ndarray, a: int, b: int,
-    v_flux: float, fm: float, fp: float, bulk: BulkFluxKind,
+    w: np.ndarray, k: int, v_flux: float, fm: float, fp: float, bulk: BulkFluxKind
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Fluxes through the left and right faces of the cells w[a:b], for cell
-    values w on the mesh of ``grid``.
+    """Fluxes through the left and right faces of the cells w[1:-1], whose
+    outer neighbors are w[0] and w[-1] (for a periodic box, the wrap-around
+    cells).
 
     The bulk flux at v_flux fills every face except the one between the
     particle cells, where the interface pair stands: fm is the right face of
-    the cell left of the particle and fp the left face of the cell right of
-    it.  A padded grid reads the neighbors w[a - 1] and w[b]; a periodic grid
-    passes a, b = 0, n and wraps around.
+    cell k of w[1:-1], the cell left of the particle, and fp the left face of
+    cell k + 1.
     """
-    ext = np.concatenate((w[-1:], w, w[:1])) if grid.periodic else w[a - 1 : b + 1]
-    F = bulk_flux(bulk, ext[:-1], ext[1:], v_flux)
+    F = bulk_flux(bulk, w[:-1], w[1:], v_flux)
     left, right = F[:-1], F[1:].copy()
-    k = grid.particle_index - a
     right[k] = fm
     left[k + 1] = fp
     return left, right
 
 
 def _fluid_update(
-    grid: FluidGrid, v_flux: float, dt: float, fm: float, fp: float, cfg: SchemeConfig
-) -> tuple[np.ndarray, int, int, float]:
-    """Flux-difference update at flux speed v_flux.
+    grid: FluidGrid, v_flux: float, dt: float, fm: float, fp: float, cfg: SchemeConfig,
+    left_edge: float,
+) -> FluidGrid:
+    """Flux-difference update at flux speed v_flux: the new grid, with its
+    left edge at ``left_edge``.
 
-    Returns the new cells, their active range and the momentum that left a
-    padded window through its edges.  A padded window updates only the cells
-    that can change: the active range widened by one cell on each side.  Any
-    other cell sits between two equal neighbors, whose flux is one
-    deterministic value on both sides, so the update would return it
-    unchanged, bit for bit.
+    A padded window updates only the cells that can change: the active range
+    widened by one cell on each side.  Any other cell sits between two equal
+    neighbors, whose flux is one deterministic value on both sides, so the
+    update would return it unchanged, bit for bit.  The new grid keeps the
+    updated cells of its active range and nothing of the window.
     """
-    u = grid.u
-    n = grid.n
+    n, lo, hi, cells = grid.n, grid.lo, grid.hi, grid.cells
     p0 = grid.particle_index
     mu_step = dt / grid.dx
     if grid.periodic:
-        left, right = face_fluxes(grid, u, 0, n, v_flux, fm, fp, cfg.bulk)
-        return u - mu_step * (right - left), 0, n, 0.0
-    # Cells a .. b-1 are updated; the outermost cells copy their neighbor
-    # afterwards.
-    a, b = max(grid.lo - 1, 1), min(grid.hi + 1, n - 1)
-    u_new = u.copy()
-    left, right = face_fluxes(grid, u, a, b, v_flux, fm, fp, cfg.bulk)
-    u_new[a:b] = u[a:b] - mu_step * (right - left)
+        a, b = 0, n
+        ext = np.concatenate((cells[-1:], cells, cells[:1]))
+    else:
+        # Cells a .. b-1 are updated; ext holds them and one neighbor on each
+        # side, and the outermost cells copy their neighbor afterwards.
+        a, b = max(lo - 1, 1), min(hi + 1, n - 1)
+        s, e = max(lo, a - 1), min(hi, b + 1)
+        ext = np.empty(b - a + 2)
+        ext[: s - a + 1] = grid.first
+        ext[s - a + 1 : e - a + 1] = cells[s - lo : e - lo]
+        ext[e - a + 1 :] = grid.last
+    left, right = face_fluxes(ext, p0 - a, v_flux, fm, fp, cfg.bulk)
+    new = ext[1:-1] - mu_step * (right - left)
+    if grid.periodic:
+        return FluidGrid._trusted(new, float(new[0]), float(new[-1]), grid, left_edge, 0, n, 0.0)
     # Guard: the two flux-updated cells next to each boundary must stay
     # untouched, otherwise the padding was too narrow for this run.
-    if (
-        u_new[1] != u[1]
-        or u_new[2] != u[2]
-        or u_new[n - 2] != u[n - 2]
-        or u_new[n - 3] != u[n - 3]
+    if (a <= 2 or b >= n - 2) and any(
+        new[i - a] != ext[i - a + 1] for i in (1, 2, n - 3, n - 2) if a <= i < b
     ):
         raise BoundaryGuardError(
             "disturbance reached the padded boundary; enlarge the domain"
         )
-    u_new[0] = u_new[1]
-    u_new[-1] = u_new[-2]
-    lo, hi = _active_range(u_new, p0, a, b)
+    first = float(new[0]) if a == 1 else grid.first
+    last = float(new[-1]) if b == n - 1 else grid.last
+    new_lo, new_hi = _active_range(new, a, p0, first, last)
     leak = dt * (
-        bulk_flux(cfg.bulk, float(u[n - 2]), float(u[n - 1]), v_flux)
-        - bulk_flux(cfg.bulk, float(u[0]), float(u[1]), v_flux)
+        bulk_flux(cfg.bulk, grid._cell(n - 2), grid.last, v_flux)
+        - bulk_flux(cfg.bulk, grid.first, grid._cell(1), v_flux)
     )
-    return u_new, lo, hi, leak
+    return FluidGrid._trusted(
+        new[new_lo - a : new_hi - a], first, last, grid, left_edge, new_lo, new_hi, leak
+    )
 
 
 def _step(
@@ -455,18 +508,14 @@ def _step(
     elif p0 < 3 or grid.n - (p0 + 2) < 3:
         # keep the particle cells clear of the boundary guard zone
         raise ValueError("need at least 3 cells on each side of the particle")
-    u0, u1 = float(grid.u[p0]), float(grid.u[p0 + 1])
+    u0, u1 = grid.cells[p0 - grid.lo : p0 - grid.lo + 2].tolist()
     v = particle.v
     if implicit:
         w, fm, fp = _solve_implicit_velocity(u0, u1, particle, cfg, dt)
     else:
         w, fm, fp = v, *interface_fluxes(cfg.iface, cfg.bulk, u0, u1, v, cfg.lam)
     fm, fp = float(fm), float(fp)
-    u_new, lo, hi, leak = _fluid_update(grid, w, dt, fm, fp, cfg)
-    new_grid = FluidGrid(
-        u=u_new, dx=grid.dx, left_edge=grid.left_edge + v * dt, j_min=grid.j_min,
-        periodic=grid.periodic, lo=lo, hi=hi, leak=leak,
-    )
+    new_grid = _fluid_update(grid, w, dt, fm, fp, cfg, grid.left_edge + v * dt)
     v_new = v + (dt / particle.m_p) * (fm - fp)
     return new_grid, ParticleState(h=particle.h + v * dt, v=v_new, m_p=particle.m_p)
 
@@ -555,21 +604,21 @@ def run(
 ) -> Trajectory:
     """Integrate the coupled system up to the final time.
 
-    The nominal step comes from ``compute_dt``; the last step is truncated
+    The nominal step comes from ``_time_step``; the last step is truncated
     so the final time is hit exactly.  Snapshots are stored at t = 0, at the
     final time, at every requested time (the state whose time slab covers
     it), or at every step with ``store_all``.
     """
     env = bounds_envelope(u0, v0, cfg.lam, split=h0)
     grid, particle = init_state(u0, h0, v0, cfg, dx)
-    dt_nom = compute_dt(grid, particle, cfg, env)
+    dt_nom, _, key = _time_step(cfg, env, dx)
     if cfg.domain is Domain.PERIODIC and cfg.T > 0.0:
         a_eff = 0.5 * grid.n * dx
         guard = 3.0 * cfg.T * dx / dt_nom
         if a_eff < guard * (1.0 - 1e-12):
             raise ValueError(
                 f"periodic 'half_width' {a_eff} is below the effective influence "
-                f"guard 3*T/mu_eff = {guard}"
+                f"guard 3*T*dx/dt = {guard} of the step {key} sets"
             )
     req = sorted(set(float(t) for t in snapshot_times))
     if req and (req[0] < 0.0 or req[-1] > cfg.T):

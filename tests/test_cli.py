@@ -18,7 +18,7 @@ from burgers_particle.cli import (
     parse_config,
 )
 from burgers_particle.flux import BulkFluxKind, InterfaceFluxKind
-from burgers_particle.scheme import BoundaryGuardError, Domain, VelocityUpdate
+from burgers_particle.scheme import BoundaryGuardError, Domain, FluidGrid, VelocityUpdate
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -154,6 +154,19 @@ def test_snapshot_files_format_every_cell_as_the_writer_does(tmp_path):
         cli._write_csv(tmp_path / "expected.csv", ["x", "u"], [grid.cell_centers(), grid.u])
         written = (tmp_path / "out" / f"u_{t:.6f}.csv").read_bytes()
         assert written == (tmp_path / "expected.csv").read_bytes()
+
+
+def test_run_and_cmd_run_never_build_the_window(tmp_path, monkeypatch):
+    # A padded run steps, records and writes its grids from their compact
+    # form; the whole window u is built only when a caller reads it.
+    def whole_window(grid):
+        raise AssertionError("grid.u was built")
+
+    monkeypatch.setattr(FluidGrid, "u", property(whole_window))
+    cfg = parse_config(MINIMAL + "v0 = 0.5\nsnapshots = 0.25\n")
+    traj = cli.run(cfg.u0, cfg.h0, cfg.v0, cfg.scheme, cfg.dx, snapshot_times=cfg.snapshot_times)
+    assert len(traj.snapshots) == 3 and all(grid.lo > 0 for _, grid in traj.snapshots)
+    assert cmd_run(cfg, tmp_path / "out") == 0
 
 
 def test_parse_reports_line_numbers():
@@ -449,6 +462,21 @@ def test_tiny_mass_exits_2_naming_mass(mass, add, fragment, tmp_path, capsys):
     assert main(["run", str(cfg_path), "--out", str(out)]) == 2
     fail = capsys.readouterr().out.splitlines()
     assert len(fail) == 1 and fail[0].startswith("FAIL check=execution") and fragment in fail[0]
+    assert list(out.iterdir()) == []
+
+
+def test_periodic_effective_guard_names_the_key_that_sets_the_step(tmp_path, capsys):
+    # half_width = 1 passes the nominal guard 3*T/mu = 0.12, but the mass
+    # step is about 4000 times shorter than the CFL step: the message names
+    # the key that set the step as well as the half width.
+    cfg_path = tmp_path / "light.cfg"
+    text = LIGHT.replace("mass = 0.003", "mass = 1e-6") + "domain = periodic\nhalf_width = 1\n"
+    cfg_path.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", str(cfg_path), "--out", str(out)]) == 2
+    fail = capsys.readouterr().out.splitlines()
+    assert len(fail) == 1 and fail[0].startswith("FAIL check=execution")
+    assert "'half_width'" in fail[0] and "'mass'" in fail[0]
     assert list(out.iterdir()) == []
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -151,6 +152,19 @@ def test_compute_dt_mass_condition_binds():
     assert compute_dt(grid, part, cfg_imp, env) == pytest.approx(0.05, rel=1e-15)
 
 
+def test_compute_dt_refuses_a_particle_of_another_mass():
+    # The step is set by cfg.m_p; a particle 10^8 times lighter would get
+    # the heavy particle's step and break the mass condition.
+    from burgers_particle.diagnostics import BoundsEnvelope
+
+    env = BoundsEnvelope(m=0.0, M=0.0, v_lo=0.0, v_hi=0.0)
+    u0 = PiecewiseConstant(breakpoints=(), values=(0.0,))
+    cfg = base_cfg(mu=0.5, m_p=0.1)
+    grid, _ = init_state(u0, 0.0, 0.0, cfg, 0.1)
+    with pytest.raises(ValueError, match="m_p"):
+        compute_dt(grid, ParticleState(h=0.0, v=0.0, m_p=1e-9), cfg, env)
+
+
 def test_compute_dt_returns_the_override():
     u0 = PiecewiseConstant.riemann(1.0, -1.0, 0.0)
     cfg = base_cfg(m_p=1e-6, dt_override=0.004)  # the mass step is smaller
@@ -287,6 +301,58 @@ def test_guard_triggers_when_padding_too_narrow():
     with pytest.raises(BoundaryGuardError):
         for _ in range(500):
             g, p = step(g, p, cfg, dt)
+
+
+@pytest.mark.parametrize(
+    "cells,raises",
+    [
+        # cell 1 differs from u[0]; both its faces carry the flux 1/2
+        ([0.0] + [-1.0] * 11, False),
+        # cell 1 differs from u[0] and changes
+        ([0.0, 1.0] + [0.0] * 10, True),
+        # cell 2 differs from u[0]: a standing shock, nothing moves there
+        ([1.0, 1.0] + [-1.0] * 10, False),
+        # cell 2 differs from u[0] and changes
+        ([0.0, 0.0, 1.0] + [0.0] * 9, True),
+        # the mirror images on the right: cell n - 2 differs from u[-1]
+        ([1.0] * 11 + [-1.0], False),
+        ([0.0] * 10 + [1.0, 0.0], True),
+    ],
+)
+def test_guard_on_a_hand_built_grid_with_a_disturbed_guard_zone(cells, raises):
+    # The guard compares the old and new values of cells 1, 2, n-3 and n-2,
+    # also when a hand-built grid starts with them away from the far field:
+    # it raises exactly when one of them changes, and a step it lets through
+    # matches the whole-window loop, leak included.
+    grid = FluidGrid(u=np.array(cells), dx=0.1, left_edge=-0.6, j_min=-5)
+    part = ParticleState(h=0.0, v=0.0, m_p=1.0)
+    cfg = base_cfg()
+    if raises:
+        with pytest.raises(BoundaryGuardError):
+            step(grid, part, cfg, 0.01)
+        return
+    u_ref, v_ref, leak_ref = _loop_reference_step(grid, part, cfg, 0.01)
+    g, p = step(grid, part, cfg, 0.01)
+    assert g.u.tobytes() == u_ref.tobytes()
+    assert _bits(g.leak) == _bits(leak_ref) and p.v == v_ref
+
+
+def test_a_padded_step_allocates_its_active_cells_not_its_window():
+    # The mass-bound compact datum lays out 74482 cells, 70 of them active.
+    # A step stores and updates only the active cells, so its peak allocation
+    # stays far below one window-sized array (596 kB).
+    cfg = base_cfg(m_p=1e-3)
+    grid, part = init_state(_COMPACT, 0.0, 0.2, cfg, 0.01)
+    assert (grid.n, grid.hi - grid.lo) == (74482, 70)
+    dt = compute_dt(grid, part, cfg, bounds_envelope(_COMPACT, 0.2, 1.0, split=0.0))
+    grid, part = step(grid, part, cfg, dt)  # the first call of every code path
+    tracemalloc.start()
+    try:
+        step(grid, part, cfg, dt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def _loop_reference_step(grid, part, cfg, dt):
@@ -440,6 +506,44 @@ def test_run_matches_full_window_reference(iface, bulk, update):
     assert traj.boundary_flux[-1] != 0.0
     first, last = traj.snapshots[0][1], traj.snapshots[-1][1]
     assert 1 < last.lo < first.lo and first.hi < last.hi < last.n - 1
+
+
+_piece_values = st.floats(-1.5, 1.5, allow_nan=False)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    breakpoints=st.lists(st.floats(-0.5, 0.5), min_size=1, max_size=4, unique=True),
+    data=st.data(),
+    v0=st.floats(-1.0, 1.0),
+    bulk=st.sampled_from(BULKS),
+    iface=st.sampled_from(IFACES),
+    update=st.sampled_from(list(VelocityUpdate)),
+)
+def test_run_matches_full_window_reference_on_random_data(
+    breakpoints, data, v0, bulk, iface, update
+):
+    # Random padded piecewise-constant data with unequal far fields: every
+    # state and every column of the compact run has the bits of the loop
+    # that updates and sums the whole window.
+    values = data.draw(
+        st.lists(_piece_values, min_size=len(breakpoints) + 1, max_size=len(breakpoints) + 1)
+        .filter(lambda vals: vals[0] != vals[-1]),
+        label="values",
+    )
+    u0 = PiecewiseConstant(breakpoints=tuple(sorted(breakpoints)), values=tuple(values))
+    cfg = base_cfg(T=0.2, m_p=0.5, bulk=bulk, iface=iface, velocity_update=update)
+    traj = run(u0, 0.0, v0, cfg, 0.05, store_all=True)
+    _assert_matches_reference(traj, *_reference_run(u0, 0.0, v0, cfg, 0.05))
+
+
+def test_negative_zero_pieces_match_the_full_window_reference():
+    # A -0.0 piece next to a 0.0 far field: cells outside the active range
+    # read as the far-field value, in the grid and in the record alike.
+    u0 = PiecewiseConstant(breakpoints=(-0.4, -0.2, 0.1), values=(0.0, -0.0, 1.0, 0.5))
+    cfg = base_cfg(T=0.2, m_p=0.5)
+    traj = run(u0, 0.0, 0.1, cfg, 0.05, store_all=True)
+    _assert_matches_reference(traj, *_reference_run(u0, 0.0, 0.1, cfg, 0.05))
 
 
 @pytest.mark.parametrize("domain", list(Domain))
