@@ -201,9 +201,8 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError("key 'snapshots' times must lie in [0, T]")
     if half_width is not None and domain is not Domain.PERIODIC:
         raise ConfigError("key 'half_width' applies only to domain = periodic")
-    guard = 3.0 * T / mu
-    if domain is Domain.PERIODIC and (half_width is None or half_width <= 0 or half_width < guard):
-        raise ConfigError(f"key 'half_width' must be positive and at least 3*T/mu = {guard:g}")
+    if domain is Domain.PERIODIC and (half_width is None or half_width <= 0):
+        raise ConfigError("key 'half_width' must be positive for domain = periodic")
 
     try:
         scheme_cfg = SchemeConfig(
@@ -318,10 +317,10 @@ def cmd_run(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 def cmd_convergence(cfg: ExperimentConfig, out_dir: Path) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
-    levels = cfg.dx_levels
-    if len(levels) < 3 or any(b >= a for a, b in zip(levels, levels[1:])):
-        raise ConfigError("key 'dx' must list at least 3 strictly decreasing levels for convergence")
-    rows = convergence_study(cfg.u0, cfg.h0, cfg.v0, cfg.scheme, levels)
+    try:  # the study owns the dx ladder rule; its refusals name the key
+        rows = convergence_study(cfg.u0, cfg.h0, cfg.v0, cfg.scheme, cfg.dx_levels)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     _write_csv(
         out_dir / "convergence.csv",
         ["dx", "err_u_L1", "err_h_sup", "err_v_sup", "order_u", "order_h"],

@@ -636,9 +636,9 @@ def convergence_study(
 
     levels = [float(dx) for dx in levels]
     if len(levels) < 3:
-        raise ValueError("need at least 3 mesh levels")
+        raise ValueError(f"key 'dx' must list at least 3 mesh levels, got {len(levels)}")
     if any(b >= a for a, b in zip(levels, levels[1:])):
-        raise ValueError("mesh levels must be strictly decreasing")
+        raise ValueError("key 'dx' must list strictly decreasing mesh levels")
 
     if reference is None:
         reference = _auto_reference(u0, h0, v0, cfg, levels)

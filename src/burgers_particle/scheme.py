@@ -177,23 +177,22 @@ class FluidGrid:
     left_edge + (j - j_min + 1) * dx) in the lab frame.
 
     ``[lo, hi)`` is the active range of array indices: every cell left of
-    ``lo`` equals the far-field value ``first``, every cell from ``hi`` on
-    equals ``last``, and the particle cells are inside it.  The grid stores
-    the ``n`` cells in that compact form: ``cells`` holds those of the active
-    range, so a padded step costs its active cells, not its window.  ``u`` is
-    the whole window, read-only, built on first access.  The active range is
-    computed from ``u`` when not given.  Periodic grids have no far field and
-    use the full range.  ``leak`` is the momentum that left a padded window
-    through its edges during the step that produced this grid (0 for an
-    initial or periodic grid).
+    ``lo`` equals the far-field value ``first`` (``u[0]``), every cell from
+    ``hi`` on equals ``last`` (``u[-1]``), and the particle cells are inside
+    it.  The grid stores the ``n`` cells in that compact form: ``cells``
+    holds those of the active range, so a padded step costs its active
+    cells, not its window.  ``u`` is the whole window, read-only, built on
+    first access.  The constructor derives the active range from ``u``.
+    Periodic grids have no far field and use the full range.  ``leak`` is
+    the momentum that left a padded window through its edges during the
+    step that produced this grid (0 for a constructed or periodic grid).
     """
 
     __slots__ = ("cells", "first", "last", "n", "dx", "left_edge", "j_min", "periodic", "lo",
                  "hi", "leak", "_u")
 
     def __init__(
-        self, u: np.ndarray, dx: float, left_edge: float, j_min: int, periodic: bool = False,
-        lo: int | None = None, hi: int | None = None, leak: float = 0.0,
+        self, u: np.ndarray, dx: float, left_edge: float, j_min: int, periodic: bool = False
     ):
         u = np.asarray(u, dtype=float)
         if dx <= 0.0:
@@ -206,20 +205,18 @@ class FluidGrid:
             raise ValueError("particle interface must lie inside the grid")
         if periodic:
             lo, hi = 0, n
-        elif lo is None or hi is None:
+        else:
             left = np.flatnonzero(u[:p0] != u[0])
             right = np.flatnonzero(u[p0 + 2 :] != u[-1])
             lo = int(left[0]) if left.size else p0
             hi = p0 + 3 + int(right[-1]) if right.size else p0 + 2
-        elif not (0 <= lo <= p0 and p0 + 2 <= hi <= n):
-            raise ValueError(f"active range [{lo}, {hi}) must hold the particle cells")
         # cells outside the active range are copies of u[0] and u[-1]
         if not (
             np.all(np.isfinite(u[lo:hi])) and math.isfinite(u[0]) and math.isfinite(u[-1])
         ):
             raise ValueError("cell values must be finite")
         self._set(
-            u[lo:hi], float(u[0]), float(u[-1]), n, dx, left_edge, j_min, periodic, lo, hi, leak
+            u[lo:hi], float(u[0]), float(u[-1]), n, dx, left_edge, j_min, periodic, lo, hi, 0.0
         )
         self._u = u.view()
         self._u.flags.writeable = False
@@ -257,12 +254,6 @@ class FluidGrid:
             u.flags.writeable = False
             self._u = u
         return self._u
-
-    def _cell(self, i: int) -> float:
-        """u[i], read through the compact form."""
-        if i < self.lo:
-            return self.first
-        return self.last if i >= self.hi else float(self.cells[i - self.lo])
 
     @property
     def particle_index(self) -> int:
@@ -358,9 +349,9 @@ def init_state(
     The padded domain covers the datum's support widened on each side by
     three cells per step of ``_time_step`` (a disturbance moves at most one
     cell per step) and six more.  The periodic domain uses the configured
-    half width, rejected when smaller than 3*T/mu.  A window of more than
-    MAX_CELLS cells, more rows than a snapshot file may hold, is refused
-    before anything is allocated.
+    half width, which ``run`` checks against the step it takes.  A window of
+    more than MAX_CELLS cells, more rows than a snapshot file may hold, is
+    refused before anything is allocated.
     """
     if dx <= 0.0:
         raise ValueError(f"cell width must be positive, got dx={dx}")
@@ -368,11 +359,6 @@ def init_state(
         raise ValueError("initial position and velocity must be finite")
     if cfg.domain is Domain.PERIODIC:
         a = cfg.half_width
-        guard = 3.0 * cfg.T / cfg.mu
-        if a < guard:
-            raise ValueError(
-                f"periodic 'half_width' {a} is below the influence guard 3*T/mu = {guard}"
-            )
         _refuse_oversized(2.0 * a / dx, "'half_width' and 'dx'")
         m_c = max(2, round(a / dx))
         n_left = n_right = m_c
@@ -461,35 +447,32 @@ def _fluid_update(
         a, b = 0, n
         ext = np.concatenate((cells[-1:], cells, cells[:1]))
     else:
-        # Cells a .. b-1 are updated; ext holds them and one neighbor on each
-        # side, and the outermost cells copy their neighbor afterwards.
-        a, b = max(lo - 1, 1), min(hi + 1, n - 1)
-        s, e = max(lo, a - 1), min(hi, b + 1)
-        ext = np.empty(b - a + 2)
-        ext[: s - a + 1] = grid.first
-        ext[s - a + 1 : e - a + 1] = cells[s - lo : e - lo]
-        ext[e - a + 1 :] = grid.last
+        # Cells a .. b-1, the active range widened by one cell a side, are
+        # updated; ext holds them and one far-field neighbor on each side.
+        a, b = lo - 1, hi + 1
+        ext = np.empty(hi - lo + 4)
+        ext[:2], ext[2:-2], ext[-2:] = grid.first, cells, grid.last
     left, right = face_fluxes(ext, p0 - a, v_flux, fm, fp, cfg.bulk)
     new = ext[1:-1] - mu_step * (right - left)
     if grid.periodic:
         return FluidGrid._trusted(new, float(new[0]), float(new[-1]), grid, left_edge, 0, n, 0.0)
-    # Guard: the two flux-updated cells next to each boundary must stay
-    # untouched, otherwise the padding was too narrow for this run.
-    if (a <= 2 or b >= n - 2) and any(
+    # Guard: cells 0, 1, n-2 and n-1 must hold the far-field values before
+    # the step, and the flux-updated cells 1, 2, n-3 and n-2 must keep their
+    # values, otherwise the padding was too narrow for this run.  So the
+    # outermost cells never change and first, last are fixed for a run.
+    if lo < 2 or hi > n - 2 or ((a <= 2 or b >= n - 2) and any(
         new[i - a] != ext[i - a + 1] for i in (1, 2, n - 3, n - 2) if a <= i < b
-    ):
+    )):
         raise BoundaryGuardError(
             "disturbance reached the padded boundary; enlarge the domain"
         )
-    first = float(new[0]) if a == 1 else grid.first
-    last = float(new[-1]) if b == n - 1 else grid.last
-    new_lo, new_hi = _active_range(new, a, p0, first, last)
+    new_lo, new_hi = _active_range(new, a, p0, grid.first, grid.last)
     leak = dt * (
-        bulk_flux(cfg.bulk, grid._cell(n - 2), grid.last, v_flux)
-        - bulk_flux(cfg.bulk, grid.first, grid._cell(1), v_flux)
+        bulk_flux(cfg.bulk, grid.last, grid.last, v_flux)
+        - bulk_flux(cfg.bulk, grid.first, grid.first, v_flux)
     )
     return FluidGrid._trusted(
-        new[new_lo - a : new_hi - a], first, last, grid, left_edge, new_lo, new_hi, leak
+        new[new_lo - a : new_hi - a], grid.first, grid.last, grid, left_edge, new_lo, new_hi, leak
     )
 
 

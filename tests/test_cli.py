@@ -79,7 +79,6 @@ values = 0, 1, 0
         ("half_width = 3", "half_width"),
         ("domain = periodic", "'half_width'"),
         ("domain = periodic\nhalf_width = -1", "'half_width'"),
-        ("domain = periodic\nhalf_width = 1", "'half_width'"),  # below 3*T/mu = 6
         ("breakpoints = 0, 0\nvalues = 1, 2, 3", "line 8: key 'breakpoints'"),
     ],
 )
@@ -89,6 +88,18 @@ def test_parse_rejections_name_the_key(line, fragment):
         base = base.replace("u_minus = 1\nu_plus = -1\n", "")
     with pytest.raises(ConfigError, match=fragment):
         parse_config(base + line + "\n")
+
+
+def test_periodic_box_below_the_guard_fails_at_execution(tmp_path, capsys):
+    # half_width = 1 parses; run refuses it against the influence guard
+    # 3*T*dx/dt of the step the CFL ratio 'mu' sets.
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(MINIMAL + "domain = periodic\nhalf_width = 1\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", str(cfg_path), "--out", str(out)]) == 2
+    fail = capsys.readouterr().out.splitlines()
+    assert len(fail) == 1 and fail[0].startswith("FAIL check=execution")
+    assert "'half_width'" in fail[0] and "'mu'" in fail[0]
 
 
 @pytest.mark.parametrize(

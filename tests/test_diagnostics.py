@@ -89,17 +89,14 @@ _values = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
     v=_values,
     m_p=st.floats(1e-3, 1e3),
     dx=st.floats(1e-4, 1.0),
-    given_range=st.booleans(),
 )
 def test_total_momentum_with_tails_is_bit_exact(
-    c_left, c_right, k_left, k_right, middle, v, m_p, dx, given_range
+    c_left, c_right, k_left, k_right, middle, v, m_p, dx
 ):
     # Long constant tails enter the sum as their exact totals k*c, so the
-    # result has the bits of fsum over every cell, whether the range is
-    # carried (the tails exactly) or recomputed from u.
+    # result has the bits of fsum over every cell.
     u = np.concatenate([np.full(k_left, c_left), middle, np.full(k_right, c_right)])
-    kw = dict(lo=k_left, hi=k_left + len(middle)) if given_range else {}
-    grid = FluidGrid(u=u, dx=dx, left_edge=0.0, j_min=-k_left, **kw)
+    grid = FluidGrid(u=u, dx=dx, left_edge=0.0, j_min=-k_left)
     particle = ParticleState(h=0.0, v=v, m_p=m_p)
     expected = m_p * v + dx * math.fsum(u.tolist())
     assert total_momentum(grid, particle).hex() == expected.hex()
@@ -251,7 +248,8 @@ def test_total_variation_has_the_bits_of_np_sum_over_the_window(n, data, periodi
         hi = data.draw(st.integers(p0 + 2, n - 1), label="hi")
     middle = rng.uniform(-1.0, 1.0, hi - lo) * scale
     u = np.concatenate([np.full(lo, first), middle, np.full(n - hi, last)])
-    grid = FluidGrid(u=u, dx=0.1, left_edge=0.0, j_min=-p0, periodic=periodic, lo=lo, hi=hi)
+    grid = FluidGrid(u=u, dx=0.1, left_edge=0.0, j_min=-p0, periodic=periodic)
+    assert (grid.lo, grid.hi) == (lo, hi)
     expected = float(np.sum(np.abs(np.diff(u))))
     if periodic:
         expected += abs(float(u[0]) - float(u[-1]))

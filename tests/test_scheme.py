@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from burgers_particle.diagnostics import (
@@ -92,9 +92,11 @@ def test_init_periodic_guard():
     ok = base_cfg(T=1.0, mu=0.5, domain=Domain.PERIODIC, half_width=6.0)
     grid, _ = init_state(u0, 0.0, 0.0, ok, 0.1)
     assert grid.periodic and grid.n == 120
-    with pytest.raises(ValueError):
+    # init_state lays out any positive half width; run refuses a box below
+    # the influence guard of the step it takes
+    with pytest.raises(ValueError, match="'half_width'"):
         bad = base_cfg(T=1.0, mu=0.5, domain=Domain.PERIODIC, half_width=5.0)
-        init_state(u0, 0.0, 0.0, bad, 0.1)
+        run(u0, 0.0, 0.0, bad, 0.1)
 
 
 def test_init_aligns_mesh_at_offset_particle():
@@ -306,8 +308,8 @@ def test_guard_triggers_when_padding_too_narrow():
 @pytest.mark.parametrize(
     "cells,raises",
     [
-        # cell 1 differs from u[0]; both its faces carry the flux 1/2
-        ([0.0] + [-1.0] * 11, False),
+        # cell 1 differs from u[0]: the step would rewrite cell 0
+        ([0.0] + [-1.0] * 11, True),
         # cell 1 differs from u[0] and changes
         ([0.0, 1.0] + [0.0] * 10, True),
         # cell 2 differs from u[0]: a standing shock, nothing moves there
@@ -315,14 +317,13 @@ def test_guard_triggers_when_padding_too_narrow():
         # cell 2 differs from u[0] and changes
         ([0.0, 0.0, 1.0] + [0.0] * 9, True),
         # the mirror images on the right: cell n - 2 differs from u[-1]
-        ([1.0] * 11 + [-1.0], False),
+        ([1.0] * 11 + [-1.0], True),
         ([0.0] * 10 + [1.0, 0.0], True),
     ],
 )
 def test_guard_on_a_hand_built_grid_with_a_disturbed_guard_zone(cells, raises):
-    # The guard compares the old and new values of cells 1, 2, n-3 and n-2,
-    # also when a hand-built grid starts with them away from the far field:
-    # it raises exactly when one of them changes, and a step it lets through
+    # The guard raises when cell 1 or n-2 starts away from the far field, or
+    # when one of cells 1, 2, n-3 and n-2 changes; a step it lets through
     # matches the whole-window loop, leak included.
     grid = FluidGrid(u=np.array(cells), dx=0.1, left_edge=-0.6, j_min=-5)
     part = ParticleState(h=0.0, v=0.0, m_p=1.0)
@@ -335,6 +336,50 @@ def test_guard_on_a_hand_built_grid_with_a_disturbed_guard_zone(cells, raises):
     g, p = step(grid, part, cfg, 0.01)
     assert g.u.tobytes() == u_ref.tobytes()
     assert _bits(g.leak) == _bits(leak_ref) and p.v == v_ref
+
+
+_guard_values = st.sampled_from([-1.0, 0.0, 0.5, 1.0]) | st.floats(-2.0, 2.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(8, 14),
+    p0=st.integers(3, 9),
+    first=_guard_values,
+    last=_guard_values,
+    disturbed=st.dictionaries(st.integers(0, 13), _guard_values, max_size=4),
+    v=_guard_values,
+    m_p=st.floats(0.01, 10.0),
+    bulk=st.sampled_from(BULKS),
+    iface=st.sampled_from(IFACES),
+    update=st.sampled_from(list(VelocityUpdate)),
+)
+@example(
+    n=12, p0=5, first=-1.0, last=-1.0, disturbed={0: 0.0}, v=0.0, m_p=1.0,
+    bulk=BulkFluxKind.GODUNOV, iface=InterfaceFluxKind.MAX_GERM,
+    update=VelocityUpdate.EXPLICIT,
+)
+def test_a_padded_step_keeps_the_momentum_identity_or_refuses(
+    n, p0, first, last, disturbed, v, m_p, bulk, iface, update
+):
+    # A hand-built window with disturbances anywhere, the outermost cells
+    # included: a step either raises BoundaryGuardError or keeps
+    # total_momentum(after) + leak == total_momentum(before) to rounding.
+    p0 = min(p0, n - 5)
+    u = np.where(np.arange(n) <= p0, first, last)
+    for i, value in disturbed.items():
+        u[i % n] = value
+    grid = FluidGrid(u=u, dx=0.1, left_edge=-0.1 * (p0 + 1), j_min=-p0)
+    part = ParticleState(h=0.0, v=v, m_p=m_p)
+    cfg = base_cfg(m_p=m_p, bulk=bulk, iface=iface, velocity_update=update)
+    advance = step if update is VelocityUpdate.EXPLICIT else step_implicit
+    try:
+        g, p = advance(grid, part, cfg, 0.01)
+    except BoundaryGuardError:
+        return
+    before = total_momentum(grid, part)
+    scale = 1.0 + grid.dx * float(np.abs(u).sum()) + m_p * abs(v)
+    assert abs(total_momentum(g, p) + g.leak - before) <= 1e-12 * scale
 
 
 def test_a_padded_step_allocates_its_active_cells_not_its_window():
