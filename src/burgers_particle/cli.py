@@ -201,8 +201,6 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError("key 'snapshots' times must lie in [0, T]")
     if half_width is not None and domain is not Domain.PERIODIC:
         raise ConfigError("key 'half_width' applies only to domain = periodic")
-    if domain is Domain.PERIODIC and (half_width is None or half_width <= 0):
-        raise ConfigError("key 'half_width' must be positive for domain = periodic")
 
     try:
         scheme_cfg = SchemeConfig(

@@ -572,19 +572,18 @@ def maximality_probe(
     v: float,
     n_h: int,
     candidates: Sequence[tuple[float, float]] | np.ndarray,
-    tau: float = TAU_NUM,
     boundary_tol: float = 1e-6,
 ) -> list[MaximalityVerdict]:
     """Test candidate trace pairs against the entropy-pairing criterion.
 
-    A candidate passes when xi(candidate, q) >= -tau against a dense sample
-    of the closure of G1 | G2.  The base sample is refined adaptively: extra
-    line points scaled by the candidate's offset from the line, and local
-    refinements around the coarse minimizers, so near-boundary violations
-    are not missed by the finite sample.  Each verdict cross-checks that a
-    passing candidate lies in the germ with boundaries inflated by
-    ``boundary_tol`` (pairs closer to the boundary than the pairing
-    resolution sqrt(2*tau) are indistinguishable from members).
+    A candidate passes when xi(candidate, q) >= -TAU_NUM against a dense
+    sample of the closure of G1 | G2.  The base sample is refined adaptively:
+    extra line points scaled by the candidate's offset from the line, and
+    local refinements around the coarse minimizers, so near-boundary
+    violations are not missed by the finite sample.  Each verdict
+    cross-checks that a passing candidate lies in the germ with boundaries
+    inflated by ``boundary_tol`` (pairs closer to the boundary than the
+    pairing resolution sqrt(2*TAU_NUM) are indistinguishable from members).
 
     ``candidates`` is a sequence of pairs or an (n, 2) array.  Each
     candidate makes one pass over the base sample; the adapted points and
@@ -603,7 +602,7 @@ def maximality_probe(
         block = pts[start : start + _PROBE_BLOCK]
         m = _block_min_xi(block[:, 0], block[:, 1], lam, v, q, f_q, n_line, spacing)
         for (a, b), min_xi in zip(block.tolist(), m.tolist()):
-            passes = min_xi >= -tau
+            passes = min_xi >= -TAU_NUM
             out.append(
                 MaximalityVerdict(
                     point=(a, b),

@@ -84,7 +84,6 @@ def ode_oracle(
     v0: float,
     m_p: float,
     t: float,
-    n_steps: int = 100_000,
 ):
     """(h, h') at time t from RK4 integration of the frozen-trace drag ODE.
 
@@ -99,9 +98,9 @@ def ode_oracle(
         return 0.0, v0
     k = (u_minus - u_plus) / m_p
     w = 0.5 * (u_minus + u_plus)
-    dt = t / n_steps
+    dt = t / 100_000
     h, vel = 0.0, v0
-    for _ in range(n_steps):
+    for _ in range(100_000):
         k1h, k1v = vel, k * (w - vel)
         y = vel + 0.5 * dt * k1v
         k2h, k2v = y, k * (w - y)

@@ -152,7 +152,7 @@ class SchemeConfig:
             raise ValueError("dt_override must be positive when given")
         if self.domain is Domain.PERIODIC:
             if self.half_width is None or self.half_width <= 0.0:
-                raise ValueError("periodic domain needs a positive half_width")
+                raise ValueError("periodic domain needs a positive 'half_width'")
 
 
 def _active_range(cells: np.ndarray, a: int, p0: int, first: float, last: float) -> tuple[int, int]:
@@ -337,6 +337,20 @@ def _refuse_oversized(cells: float, keys: str) -> None:
         )
 
 
+def _check_start(h0: float, v0: float, dx: float) -> None:
+    if dx <= 0.0:
+        raise ValueError(f"cell width must be positive, got dx={dx}")
+    if not (math.isfinite(h0) and math.isfinite(v0)):
+        raise ValueError("initial position and velocity must be finite")
+
+
+def _half_cells(cfg: SchemeConfig, dx: float) -> int:
+    """Cells on each side of the particle in the periodic box, once a box of
+    more than MAX_CELLS cells is refused (``round`` fails on inf)."""
+    _refuse_oversized(2.0 * cfg.half_width / dx, "'half_width' and 'dx'")
+    return max(2, round(cfg.half_width / dx))
+
+
 def init_state(
     u0: PiecewiseConstant,
     h0: float,
@@ -349,24 +363,19 @@ def init_state(
     The padded domain covers the datum's support widened on each side by
     three cells per step of ``_time_step`` (a disturbance moves at most one
     cell per step) and six more.  The periodic domain uses the configured
-    half width, which ``run`` checks against the step it takes.  A window of
-    more than MAX_CELLS cells, more rows than a snapshot file may hold, is
-    refused before anything is allocated.
+    half width, which ``run`` checks against the step it takes before it
+    lays the box out.  A window of more than MAX_CELLS cells, more rows than
+    a snapshot file may hold, is refused before anything is allocated.
     """
-    if dx <= 0.0:
-        raise ValueError(f"cell width must be positive, got dx={dx}")
-    if not (math.isfinite(h0) and math.isfinite(v0)):
-        raise ValueError("initial position and velocity must be finite")
+    _check_start(h0, v0, dx)
     if cfg.domain is Domain.PERIODIC:
-        a = cfg.half_width
-        _refuse_oversized(2.0 * a / dx, "'half_width' and 'dx'")
-        m_c = max(2, round(a / dx))
+        m_c = _half_cells(cfg, dx)
         n_left = n_right = m_c
         j_min = 1 - m_c
     else:
         _, ratio, key = _time_step(cfg, bounds_envelope(u0, v0, cfg.lam, split=h0), dx)
-        # Three times the influence length, plus a few cells so no datum
-        # feature starts inside the boundary guard zone.
+        # Three times the influence length, plus six cells: the datum starts
+        # clear of the three far-field cells a side a step must keep.
         pad = 3.0 * cfg.T / ratio + 6.0 * dx
         span = (h0, *u0.breakpoints)
         span_lo, span_hi = min(span), max(span)
@@ -444,29 +453,24 @@ def _fluid_update(
     p0 = grid.particle_index
     mu_step = dt / grid.dx
     if grid.periodic:
-        a, b = 0, n
+        a = 0
         ext = np.concatenate((cells[-1:], cells, cells[:1]))
     else:
-        # Cells a .. b-1, the active range widened by one cell a side, are
+        # Cells a .. hi, the active range widened by one cell a side, are
         # updated; ext holds them and one far-field neighbor on each side.
-        a, b = lo - 1, hi + 1
+        a = lo - 1
         ext = np.empty(hi - lo + 4)
         ext[:2], ext[2:-2], ext[-2:] = grid.first, cells, grid.last
     left, right = face_fluxes(ext, p0 - a, v_flux, fm, fp, cfg.bulk)
     new = ext[1:-1] - mu_step * (right - left)
     if grid.periodic:
         return FluidGrid._trusted(new, float(new[0]), float(new[-1]), grid, left_edge, 0, n, 0.0)
-    # Guard: cells 0, 1, n-2 and n-1 must hold the far-field values before
-    # the step, and the flux-updated cells 1, 2, n-3 and n-2 must keep their
-    # values, otherwise the padding was too narrow for this run.  So the
-    # outermost cells never change and first, last are fixed for a run.
-    if lo < 2 or hi > n - 2 or ((a <= 2 or b >= n - 2) and any(
-        new[i - a] != ext[i - a + 1] for i in (1, 2, n - 3, n - 2) if a <= i < b
-    )):
-        raise BoundaryGuardError(
-            "disturbance reached the padded boundary; enlarge the domain"
-        )
     new_lo, new_hi = _active_range(new, a, p0, grid.first, grid.last)
+    # Guard: three far-field cells a side before and after the step, or the
+    # padding was too narrow for this run.  So the particle cells lie in
+    # [3, n-3), every updated cell in [2, n-2), and first, last are fixed.
+    if min(lo, new_lo) < 3 or max(hi, new_hi) > n - 3:
+        raise BoundaryGuardError("disturbance reached the padded boundary; enlarge the domain")
     leak = dt * (
         bulk_flux(cfg.bulk, grid.last, grid.last, v_flux)
         - bulk_flux(cfg.bulk, grid.first, grid.first, v_flux)
@@ -485,12 +489,6 @@ def _step(
     if dt <= 0.0:
         raise ValueError(f"time step must be positive, got dt={dt}")
     p0 = grid.particle_index
-    if grid.periodic:
-        if p0 < 1 or grid.n - (p0 + 1) < 1:
-            raise ValueError("need at least 1 cell on each side of the particle")
-    elif p0 < 3 or grid.n - (p0 + 2) < 3:
-        # keep the particle cells clear of the boundary guard zone
-        raise ValueError("need at least 3 cells on each side of the particle")
     u0, u1 = grid.cells[p0 - grid.lo : p0 - grid.lo + 2].tolist()
     v = particle.v
     if implicit:
@@ -592,11 +590,11 @@ def run(
     final time, at every requested time (the state whose time slab covers
     it), or at every step with ``store_all``.
     """
+    _check_start(h0, v0, dx)
     env = bounds_envelope(u0, v0, cfg.lam, split=h0)
-    grid, particle = init_state(u0, h0, v0, cfg, dx)
     dt_nom, _, key = _time_step(cfg, env, dx)
     if cfg.domain is Domain.PERIODIC and cfg.T > 0.0:
-        a_eff = 0.5 * grid.n * dx
+        a_eff = _half_cells(cfg, dx) * dx
         guard = 3.0 * cfg.T * dx / dt_nom
         if a_eff < guard * (1.0 - 1e-12):
             raise ValueError(
@@ -606,6 +604,7 @@ def run(
     req = sorted(set(float(t) for t in snapshot_times))
     if req and (req[0] < 0.0 or req[-1] > cfg.T):
         raise ValueError("snapshot times must lie in [0, T]")
+    grid, particle = init_state(u0, h0, v0, cfg, dx)
 
     advance = step if cfg.velocity_update is VelocityUpdate.EXPLICIT else step_implicit
 

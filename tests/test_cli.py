@@ -477,9 +477,9 @@ def test_tiny_mass_exits_2_naming_mass(mass, add, fragment, tmp_path, capsys):
 
 
 def test_periodic_effective_guard_names_the_key_that_sets_the_step(tmp_path, capsys):
-    # half_width = 1 passes the nominal guard 3*T/mu = 0.12, but the mass
-    # step is about 4000 times shorter than the CFL step: the message names
-    # the key that set the step as well as the half width.
+    # half_width = 1 would pass the guard 3*T*dx/dt = 0.12 of the CFL step
+    # 'mu' sets, but the mass step is about 4000 times shorter: the message
+    # names the key that set the step as well as the half width.
     cfg_path = tmp_path / "light.cfg"
     text = LIGHT.replace("mass = 0.003", "mass = 1e-6") + "domain = periodic\nhalf_width = 1\n"
     cfg_path.write_text(text, encoding="utf-8")

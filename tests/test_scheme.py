@@ -123,6 +123,11 @@ def test_init_rejects_bad_inputs():
         init_state(u0, 0.0, 0.0, base_cfg(), -0.1)
     with pytest.raises(ValueError):
         init_state(u0, math.nan, 0.0, base_cfg(), 0.1)
+    # run checks the mesh before it sizes the step or the periodic box
+    periodic = base_cfg(domain=Domain.PERIODIC, half_width=1.0)
+    for cfg in (base_cfg(dt_override=0.01), periodic):
+        with pytest.raises(ValueError, match="cell width must be positive"):
+            run(u0, 0.0, 0.0, cfg, 0.0)
 
 
 # ---------------------------------------------------------------- compute_dt
@@ -300,9 +305,13 @@ def test_guard_triggers_when_padding_too_narrow():
     env = bounds_envelope(u0, 0.0, 1.0)
     dt = compute_dt(grid, part, cfg, env)
     g, p = grid, part
+    steps = 0
     with pytest.raises(BoundaryGuardError):
-        for _ in range(500):
+        for steps in range(500):
             g, p = step(g, p, cfg, dt)
+    # the 44-cell window takes 24 steps; the last good range keeps exactly
+    # three far-field cells a side, and the next step would spread past them
+    assert (grid.n, steps, g.lo, g.hi) == (44, 24, 3, 41)
 
 
 @pytest.mark.parametrize(
@@ -312,8 +321,9 @@ def test_guard_triggers_when_padding_too_narrow():
         ([0.0] + [-1.0] * 11, True),
         # cell 1 differs from u[0] and changes
         ([0.0, 1.0] + [0.0] * 10, True),
-        # cell 2 differs from u[0]: a standing shock, nothing moves there
-        ([1.0, 1.0] + [-1.0] * 10, False),
+        # cell 2 differs from u[0]: a standing shock, nothing moves there,
+        # but the window no longer keeps three far-field cells on the left
+        ([1.0, 1.0] + [-1.0] * 10, True),
         # cell 2 differs from u[0] and changes
         ([0.0, 0.0, 1.0] + [0.0] * 9, True),
         # the mirror images on the right: cell n - 2 differs from u[-1]
@@ -322,8 +332,8 @@ def test_guard_triggers_when_padding_too_narrow():
     ],
 )
 def test_guard_on_a_hand_built_grid_with_a_disturbed_guard_zone(cells, raises):
-    # The guard raises when cell 1 or n-2 starts away from the far field, or
-    # when one of cells 1, 2, n-3 and n-2 changes; a step it lets through
+    # The guard raises when one of cells 0, 1, 2, n-3, n-2 and n-1 is off
+    # the far field before or after the step; a step it lets through
     # matches the whole-window loop, leak included.
     grid = FluidGrid(u=np.array(cells), dx=0.1, left_edge=-0.6, j_min=-5)
     part = ParticleState(h=0.0, v=0.0, m_p=1.0)
@@ -380,6 +390,39 @@ def test_a_padded_step_keeps_the_momentum_identity_or_refuses(
     before = total_momentum(grid, part)
     scale = 1.0 + grid.dx * float(np.abs(u).sum()) + m_p * abs(v)
     assert abs(total_momentum(g, p) + g.leak - before) <= 1e-12 * scale
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    cells=st.lists(_guard_values, min_size=4, max_size=10),
+    right=st.booleans(),
+    v=_guard_values,
+    m_p=st.floats(0.01, 10.0),
+    bulk=st.sampled_from(BULKS),
+    iface=st.sampled_from(IFACES),
+    update=st.sampled_from(list(VelocityUpdate)),
+)
+@example(
+    cells=[1.0, -1.0, 0.5, 0.0], right=False, v=0.5, m_p=1.0, bulk=BulkFluxKind.GODUNOV,
+    iface=InterfaceFluxKind.MAX_GERM, update=VelocityUpdate.EXPLICIT,
+)
+def test_a_periodic_step_with_the_particle_at_either_end_of_the_box(
+    cells, right, v, m_p, bulk, iface, update
+):
+    # The particle cells are the first two of the box (j_min = 0) or the
+    # last two; their outer neighbors are the wrap-around cells.  A step
+    # matches the whole-box loop.
+    n = len(cells)
+    j_min = 2 - n if right else 0
+    grid = FluidGrid(u=np.array(cells), dx=0.1, left_edge=0.1 * j_min, j_min=j_min, periodic=True)
+    part = ParticleState(h=0.1, v=v, m_p=m_p)
+    cfg = base_cfg(m_p=m_p, bulk=bulk, iface=iface, velocity_update=update,
+                   domain=Domain.PERIODIC, half_width=0.1 * n / 2)
+    u_ref, v_ref, _ = _loop_reference_step(grid, part, cfg, 0.01)
+    advance = step if update is VelocityUpdate.EXPLICIT else step_implicit
+    g, p = advance(grid, part, cfg, 0.01)
+    assert g.u.tobytes() == u_ref.tobytes()
+    assert _bits(p.v) == _bits(v_ref) and g.leak == 0.0
 
 
 def test_a_padded_step_allocates_its_active_cells_not_its_window():
@@ -699,6 +742,21 @@ def test_init_state_refuses_oversized_windows(kw, keys):
     with pytest.raises(ValueError, match="more than 10000000") as err:
         init_state(u0, 0.0, 0.0, base_cfg(**kw), 0.1)
     assert all(key in str(err.value) for key in keys)
+
+
+def test_run_refuses_a_periodic_box_below_the_guard_before_laying_it_out():
+    # 2*10^6 cells against a guard of 180000 half-width units: run refuses
+    # from the config and dx alone, without averaging the box (66 MB).
+    u0 = PiecewiseConstant.riemann(1.0, -1.0, 0.0)
+    cfg = base_cfg(T=1e4, domain=Domain.PERIODIC, half_width=1000.0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="periodic 'half_width' 1000.0 is below"):
+            run(u0, 0.0, 0.0, cfg, 0.001)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 * 1024
 
 
 def test_init_state_counts_whole_cells_against_the_limit():
