@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from .flux import BulkFluxKind, InterfaceFluxKind, interface_fluxes, lipschitz_bound
+from .flux import BulkFluxKind, InterfaceFluxKind, bulk_flux, interface_fluxes, lipschitz_bound
 from .germ import GermRegion, classify, dist1_to_H, in_germ
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -76,7 +76,36 @@ def _fsum(x: np.ndarray, tails: Sequence[tuple[int, float]]) -> float:
     return math.fsum(terms)
 
 
-def _exact_sum(x: np.ndarray, tails: Sequence = (), extremes=None) -> float | list[float]:
+def _rounded(total: int, shift: int, tails, frac: float, err: int) -> float | None:
+    """The float nearest to (total + R) / 2**shift + sum(k * c for its tails)
+    when every R within err / 2**52 of ``frac`` gives that float and the
+    sums exclude 0, else None.  With err == 0 (and frac == 0.0) that is the
+    correctly rounded sum, or None when the sum is 0."""
+    total, e = (total << -shift, 0) if shift < 0 else (total, shift)
+    for count, c in tails:
+        if count and c:  # count * c == count * num / 2**d
+            num, den = c.as_integer_ratio()
+            d = den.bit_length() - 1
+            if d > e:
+                total, e = total << (d - e), d
+            total += count * num << (e - d)
+    if not err:  # frac is 0.0: the sum is exact
+        return total / (1 << e) if total else None
+    # in units of 2**-(e + d): the sum is total << d plus R << (e - shift)
+    num, den = frac.as_integer_ratio()
+    d = max(den.bit_length() - 1, 52)
+    mid = (total << d) + (num << (d - den.bit_length() + 1) << (e - shift))
+    half = err << (d - 52) << (e - shift)
+    if mid - half <= 0 <= mid + half:
+        return None
+    unit = 1 << (e + d)
+    low = (mid - half) / unit
+    return low if low == (mid + half) / unit else None
+
+
+def _exact_sum(
+    x: np.ndarray, tails: Sequence = (), extremes=None, scratch=None
+) -> float | list[float]:
     """Correctly rounded row sums: the bits of ``math.fsum`` over the same
     terms.
 
@@ -86,14 +115,23 @@ def _exact_sum(x: np.ndarray, tails: Sequence = (), extremes=None) -> float | li
     sum(k * c for k, c in its tails).
 
     Error-free extraction (Rump, Ogita and Oishi, SISC 2008), row by row:
-    each row is scaled by its own 2**s so that every |x| < 2**b with
-    n * 2**b <= 2**53; then the integer parts of a row sum exactly in
+    each row is scaled by its own power of two 2**s so that every |x| < 2**b
+    with n * 2**b <= 2**53; then the integer parts of a row sum exactly in
     floating point, and each pass adds every row's sum into a Python int and
-    moves on to the fractions times 2**b, until no fraction is left.  The
-    tails add exactly from their integer ratios, and one division per row
-    rounds.  A zero total (fsum's signed-zero rule) and a row whose scaling
+    leaves the fractions, which the next pass scales by 2**b.  The tails add
+    exactly from their integer ratios, and one division per row rounds.
+
+    A row stops as soon as its rounding is decided (Ziv's rounding test, ACM
+    TOMS 1991).  After a pass, the float sum F of its n fractions, each below
+    1, lies within gamma_(n-1) * sum|f| < n*n * 2**-52 of their exact sum
+    (Higham's bound, whatever order numpy adds them in); when total + F +-
+    n*n * 2**-52 rounds to one float at both ends and excludes 0, that float
+    is the correctly rounded sum.  A row of dense data stops after its first
+    pass; a row that is not decided takes further passes until its fractions
+    are all 0.  A zero sum (fsum's signed-zero rule) and a row whose scaling
     would underflow go to ``math.fsum``.  ``extremes`` is (row maxima, row
-    minima) of a block, when the caller has them.
+    minima) of a block, when the caller has them; ``scratch`` is a free array
+    of x's shape to work in.
     """
     if x.ndim == 1:
         return _exact_sum(x[None], [tails])[0]
@@ -102,41 +140,44 @@ def _exact_sum(x: np.ndarray, tails: Sequence = (), extremes=None) -> float | li
         x, n = np.zeros((k, 1)), 1
     top, bottom = extremes if extremes is not None else (x.max(axis=1), x.min(axis=1))
     b = 53 - n.bit_length()
-    shifts = [b - math.frexp(max(t, -m))[1] for t, m in zip(top.tolist(), bottom.tolist())]
-    s = np.array(shifts, dtype=np.int32)[:, None]  # np.ldexp is slow on int64
-    y = np.ldexp(x, s)
+    # 2**1023 is the largest finite factor; a smaller shift keeps |x| < 2**b
+    shifts = [
+        min(b - math.frexp(max(t, -m))[1], 1023) for t, m in zip(top.tolist(), bottom.tolist())
+    ]
+    factors = np.array([2.0**si for si in shifts])[:, None]
+    y = x * factors  # exact unless a term underflows
     lossy = set()
     if min(shifts) < 0:
         down = [i for i, si in enumerate(shifts) if si < 0]
-        lost = (np.ldexp(y[down], -s[down]) != x[down]).any(axis=1)
+        lost = (y[down] / factors[down] != x[down]).any(axis=1)
         lossy = {i for i, bad in zip(down, lost.tolist()) if bad}
-    whole = np.empty_like(y)
+    whole = np.empty_like(y) if scratch is None else scratch
     scale = float(1 << b)
-    totals = [0] * k
-    passes = 0
+    rows, totals, out = list(range(k)), [0] * k, [0.0] * k
     while True:
         # integer and fractional parts, as np.modf splits them but faster;
         # the subtraction is exact
-        np.trunc(y, out=whole)
-        y -= whole
-        totals = [(t << b) + int(w) for t, w in zip(totals, whole.sum(axis=1).tolist())]
-        passes += 1
-        if not y.any():
-            break
+        part = whole[: len(rows)]
+        np.trunc(y, out=part)
+        y -= part
+        fracs = y.sum(axis=1).tolist()
+        # a row whose fractions are all 0 has its exact sum
+        live = y.any(axis=1).tolist() if 0.0 in fracs else [True] * len(rows)
+        undecided = []
+        for j, (i, w, f, more) in enumerate(zip(rows, part.sum(axis=1).tolist(), fracs, live)):
+            totals[i] = (totals[i] << b) + int(w)
+            r = None if i in lossy else _rounded(totals[i], shifts[i], tails[i], f, more * n * n)
+            if r is None and more and i not in lossy:
+                undecided.append(j)
+            else:  # fsum for a lossy row and for an exact sum of 0
+                out[i] = _fsum(x[i], tails[i]) if r is None else r
+        if not undecided:
+            return out
+        if len(undecided) < len(rows):
+            y, rows = y[undecided], [rows[j] for j in undecided]
         y *= scale
-    out = []
-    for i, (total, shift, row_tails) in enumerate(zip(totals, shifts, tails)):
-        shift += (passes - 1) * b  # the row sums to total / 2**shift
-        total, e = (total << -shift, 0) if shift < 0 else (total, shift)
-        for count, c in row_tails:
-            if count and c:  # count * c == count * num / 2**d
-                num, den = c.as_integer_ratio()
-                d = den.bit_length() - 1
-                if d > e:
-                    total, e = total << (d - e), d
-                total += count * num << (e - d)
-        out.append(_fsum(x[i], row_tails) if total == 0 or i in lossy else total / (1 << e))
-    return out
+        for i in rows:
+            shifts[i] += b
 
 
 def total_momentum(grid: "FluidGrid", particle: "ParticleState") -> float:
@@ -203,11 +244,15 @@ def _variation_cells(n: int, lo: int, hi: int) -> tuple[int, int]:
     return a, b
 
 
-def _variation(cells: np.ndarray, a: int, n: int, periodic: bool) -> np.ndarray:
+def _variation(cells: np.ndarray, a: int, n: int, periodic: bool, scratch=None) -> np.ndarray:
     """Total variation of each row of ``cells``, the cells ``_variation_cells``
     names of windows of n cells, with the bits of ``np.sum`` over the whole
-    window, plus the wrap interface of a periodic box."""
-    terms = np.subtract(cells[:, 1:], cells[:, :-1])  # np.diff, without its overhead
+    window, plus the wrap interface of a periodic box.  The differences go
+    to ``scratch``, a free array of cells' shape, when given."""
+    k, w = cells.shape
+    if scratch is not None:
+        scratch = scratch.reshape(-1)[: k * (w - 1)].reshape(k, w - 1)
+    terms = np.subtract(cells[:, 1:], cells[:, :-1], out=scratch)  # np.diff, without its overhead
     tv = _pairwise_sum(np.abs(terms, out=terms), a, 0, n - 1)
     if periodic:
         tv += np.abs(cells[:, 0] - cells[:, -1])
@@ -221,10 +266,12 @@ def total_variation(grid: "FluidGrid") -> float:
 
 
 # Cell values in the row matrix of one ``make_record`` call: 128 KiB of
-# float64, glibc malloc's default mmap threshold.  A larger temporary can be
-# mapped afresh and fault its pages in on every call; with blocks of two
-# 12000-cell states a periodic-dense run took 0.85 s against 0.55 s (2-core
-# Xeon VM).
+# float64, glibc malloc's default mmap threshold.  The call's arrays of that
+# shape (the rows, the scaled copy ``_exact_sum`` works on, and one scratch
+# that the sum and then the variation write) stay below it.  A larger
+# temporary can be mapped afresh and fault its pages in on every call; with
+# blocks of two 12000-cell states a periodic-dense run took 0.85 s against
+# 0.55 s (2-core Xeon VM).
 RECORD_BLOCK_CELLS = 1 << 14
 
 
@@ -278,10 +325,11 @@ def make_record(block: RecordBlock, lam: float) -> tuple[list[float], ...]:
             row[h - a :] = z
     tails = [((a, f), (n - b, z)) for f, z in zip(first, last)]
     u_min, u_max = rows.min(axis=1), rows.max(axis=1)
-    sums = _exact_sum(rows, tails, (u_max, u_min))
+    scratch = np.empty_like(rows)
+    sums = _exact_sum(rows, tails, (u_max, u_min), scratch)
     return (
         [m + block.dx * s for m, s in zip(mv, sums)],
-        _variation(rows, a, n, block.periodic).tolist(),
+        _variation(rows, a, n, block.periodic, scratch).tolist(),
         u_min.tolist(),
         u_max.tolist(),
         [dist1_to_H((p, q), w, lam) for p, q, w in zip(u_p0, u_p1, v)],
@@ -312,7 +360,7 @@ def entropy_residual(
     Returns the residuals of all flux-updated cells (interior cells for a
     padded grid, every cell for a periodic one).
     """
-    from .scheme import face_fluxes
+    from .scheme import _flux_difference
 
     grid, particle = prev
     grid2, _ = next
@@ -328,12 +376,14 @@ def entropy_residual(
     a, b = (0, n) if grid.periodic else (1, n - 1)
 
     def faces(w):
-        fm, fp = interface_fluxes(cfg.iface, cfg.bulk, w[p0], w[p0 + 1], v, cfg.lam)
+        # the bulk faces of the cells w and the interface pair
+        gm, gp = interface_fluxes(cfg.iface, cfg.bulk, w[p0], w[p0 + 1], v, cfg.lam)
         ext = np.concatenate((w[-1:], w, w[:1])) if grid.periodic else w
-        return face_fluxes(ext, p0 - a, v, fm, fp, cfg.bulk)
+        return bulk_flux(cfg.bulk, ext[:-1], ext[1:], v), gm, gp
 
-    left_top, right_top = faces(np.maximum(u, c_arr))
-    left_bot, right_bot = faces(np.minimum(u, c_arr))
+    top, gm_top, gp_top = faces(np.maximum(u, c_arr))
+    bot, gm_bot, gp_bot = faces(np.minimum(u, c_arr))
+    G = _flux_difference(top - bot, p0 - a, gm_top - gm_bot, gp_top - gp_bot)
 
     L_c = lipschitz_bound(
         cfg.bulk,
@@ -349,7 +399,7 @@ def entropy_residual(
     eps[p0 - a : p0 - a + 2] = 1.0
     return (
         (np.abs(u2 - c_arr) - np.abs(u - c_arr))[a:b] / dt
-        + ((right_top - right_bot) - (left_top - left_bot)) / grid.dx
+        + G / grid.dx
         - eps * (A / grid.dx) * dist
     )
 

@@ -13,16 +13,21 @@ same jump between their arguments.  The Rusanov pair also shares one speed,
 so its stabilization terms cancel in the drag g_minus - g_plus, which stays
 nondecreasing in both traces (see ``interface_fluxes``).
 
-Everything accepts scalars or numpy arrays (broadcasting).  Each flux is
-one kernel written with ``maximum``, ``minimum`` and ``abs`` alone: calls
-whose states and speed are all floats pass two-float versions of the
-builtins ``max``/``min``, which cost a fraction of numpy on 0-d values, and
-any other call passes ``np.maximum``/``np.minimum``.  The kernels do the
-same operations in the same order either way, so a float call returns the
-bits of the same state in an array call.  A time step makes a few float
-calls (the particle interface and the window edges); in an implicit step the
-velocity solve makes the interface calls, about four, and its last one gives
-the pair at the root.
+Everything accepts scalars or numpy arrays (broadcasting).  Each bulk flux
+is one kernel: a cell half, the values each left state a and each right
+state b give the face (Godunov: max(a, v) - v and v - min(b, v);
+Engquist-Osher: (0.5*up)*up and (0.5*dn)*dn of the clamped distances;
+Rusanov: f_v and |u - v| of both), and a face half that combines them.  On
+the shifted views w[:-1], w[1:] of an array of cells it is one pass over the
+faces, in which Godunov and Engquist-Osher take each half once per cell
+(Rusanov's face reads both halves of both states, so it takes them on each
+view).  The kernel's operations are numpy's ufuncs, each writing into an
+``out`` buffer when the caller gives three, or for all-float calls the same
+operations in Python's float arithmetic, which cost a fraction of numpy's
+on 0-d values.  So a float call returns the bits of the same state in an
+array call, and an array call given buffers allocates nothing.  A time step
+makes one array call and one interface pair, or in an implicit step about
+four from the velocity solve.
 """
 
 from __future__ import annotations
@@ -49,27 +54,58 @@ def f_v(u, v):
     return 0.5 * d * d - 0.5 * v * v
 
 
-def _godunov(a, b, v, maximum, minimum):
+def _half_square(d, v, multiply, out):
+    """f_v's arithmetic on the distance d = u - v: (0.5*d)*d - (0.5*v)*v."""
+    f = multiply(d, 0.5, out=out)
+    f *= d
+    f -= 0.5 * v * v
+    return f
+
+
+def _godunov(a, b, v, ops, o0=None, o1=None, o2=None, s=None):
     # Exact Riemann flux of the convex f_v in closed form (LeVeque 2002,
     # ch. 12): max(f_v(max(a, v)), f_v(min(b, v))).  f_v is symmetric about
     # v and its rounded value never decreases with the distance from v, so
-    # this is f_v's arithmetic on the larger of the two clamped distances.
-    d = maximum(maximum(a, v) - v, v - minimum(b, v))
-    return 0.5 * d * d - 0.5 * v * v
+    # the flux is f_v's arithmetic on the larger of the clamped distances.
+    maximum, minimum, subtract, multiply, add, absolute = ops
+    p = maximum(a, v, out=o0)
+    p -= v
+    n = subtract(v, minimum(b, v, out=o1), out=o1)
+    return _half_square(maximum(p, n, out=o0), v, multiply, o1)
 
 
-def _rusanov(a, b, v, maximum, minimum, s=None):
-    # ``s`` overrides the local speed max(|a-v|, |b-v|); the interface pair
-    # passes one speed shared by both of its fluxes.
+def _rusanov(a, b, v, ops, o0=None, o1=None, o2=None, s=None):
+    # 0.5 * (f_v(a) + f_v(b)) - 0.5 * s * (b - a).  ``s`` overrides the local
+    # speed max(|a-v|, |b-v|); the interface pair passes one speed shared by
+    # both of its fluxes.
+    maximum, minimum, subtract, multiply, add, absolute = ops
+    f = _half_square(subtract(a, v, out=o1), v, multiply, o2)
+    f = add(f, _half_square(subtract(b, v, out=o1), v, multiply, o0), out=o2)
+    f *= 0.5
     if s is None:
-        s = maximum(abs(a - v), abs(b - v))
-    return 0.5 * (f_v(a, v) + f_v(b, v)) - 0.5 * s * (b - a)
+        s = maximum(
+            absolute(subtract(a, v, out=o0), out=o0),
+            absolute(subtract(b, v, out=o1), out=o1),
+            out=o0,
+        )
+    visc = multiply(s, 0.5, out=o0)
+    visc *= subtract(b, a, out=o1)
+    return subtract(f, visc, out=o2)
 
 
-def _engquist_osher(a, b, v, maximum, minimum):
-    up = maximum(a - v, 0.0)
-    dn = minimum(b - v, 0.0)
-    return f_v(v, v) + 0.5 * up * up + 0.5 * dn * dn
+def _engquist_osher(a, b, v, ops, o0=None, o1=None, o2=None, s=None):
+    # up = max(a - v, 0) is max(a, v) - v, and dn = min(b - v, 0) is
+    # min(b, v) - v, bit for bit
+    maximum, minimum, subtract, multiply, add, absolute = ops
+    up = maximum(a, v, out=o0)
+    up -= v
+    p = multiply(up, 0.5, out=o1)
+    p *= up
+    dn = minimum(b, v, out=o0)
+    dn -= v
+    n = multiply(dn, 0.5, out=o2)
+    n *= dn
+    return add(add(p, f_v(v, v), out=o1), n, out=o1)
 
 
 _BULK = {
@@ -79,27 +115,44 @@ _BULK = {
 }
 
 
-def _max(x, y):
+def _max(x, y, out=None):
     # builtin max(x, y), without the cost of its iterable handling
     return y if y > x else x
 
 
-def _min(x, y):
+def _min(x, y, out=None):
     return y if y < x else x
 
 
-def _max_min(a, b, v):
-    """The (maximum, minimum) pair for these arguments: two-float builtins
-    when all three are floats, numpy ufuncs otherwise."""
+# The operations of the kernels: numpy's ufuncs, or for float arguments the
+# same IEEE operations in Python's float arithmetic, which ignore ``out``.
+_NUMPY = (np.maximum, np.minimum, np.subtract, np.multiply, np.add, np.absolute)
+_FLOATS = (
+    _max,
+    _min,
+    lambda x, y, out=None: x - y,
+    lambda x, y, out=None: x * y,
+    lambda x, y, out=None: x + y,
+    lambda x, out=None: abs(x),
+)
+
+
+def _ops(a, b, v):
+    """``_FLOATS`` when all three arguments are floats, ``_NUMPY`` otherwise."""
     if isinstance(a, float) and isinstance(b, float) and isinstance(v, float):
-        return _max, _min
-    return np.maximum, np.minimum
+        return _FLOATS
+    return _NUMPY
 
 
-def bulk_flux(kind: BulkFluxKind, a, b, v):
-    """Two-point numerical flux between states a (left) and b (right)."""
-    maximum, minimum = _max_min(a, b, v)
-    return _BULK[kind](a, b, v, maximum, minimum)
+def bulk_flux(kind: BulkFluxKind, a, b, v, out=()):
+    """Two-point numerical flux between states a (left) and b (right).
+
+    On the shifted views w[:-1], w[1:] of an array of cells this is one pass
+    over the faces between them.  ``out``, for array calls, is three float
+    arrays of the result's shape to work in: the fluxes are returned in the
+    second or third, the first is free again, and nothing is allocated.
+    """
+    return _BULK[kind](a, b, v, _ops(a, b, v), *out)
 
 
 def interface_fluxes(kind: InterfaceFluxKind, bulk: BulkFluxKind, a, b, v, lam: float):
@@ -130,21 +183,21 @@ def interface_fluxes(kind: InterfaceFluxKind, bulk: BulkFluxKind, a, b, v, lam: 
     or a jump that differs between the two fluxes, leaves a viscous
     remainder in the drag that decreases in spots.
     """
-    maximum, minimum = _max_min(a, b, v)
-    g = _BULK[bulk]
+    g, ops = _BULK[bulk], _ops(a, b, v)
+    maximum, minimum = ops[0], ops[1]
     if kind is InterfaceFluxKind.G1_ONLY:
         b_sh = b + lam
         a_sh = a - lam
     else:
         b_sh = minimum(b + lam, maximum(a, v) + maximum(b - v, 0.0))
         a_sh = maximum(a - lam, minimum(b, v) - maximum(v - a, 0.0))
+    s = None
     if bulk is BulkFluxKind.RUSANOV:
         s = maximum(
             maximum(abs(a - v), abs(b + lam - v)),
             maximum(abs(a - lam - v), abs(b - v)),
         )
-        return g(a, b_sh, v, maximum, minimum, s), g(a_sh, b, v, maximum, minimum, s)
-    return g(a, b_sh, v, maximum, minimum), g(a_sh, b, v, maximum, minimum)
+    return g(a, b_sh, v, ops, s=s), g(a_sh, b, v, ops, s=s)
 
 
 def lipschitz_bound(

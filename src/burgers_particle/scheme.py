@@ -194,7 +194,7 @@ class FluidGrid:
     def __init__(
         self, u: np.ndarray, dx: float, left_edge: float, j_min: int, periodic: bool = False
     ):
-        u = np.asarray(u, dtype=float)
+        u = np.array(u, dtype=float)  # a copy: the caller's array must not move the cells
         if dx <= 0.0:
             raise ValueError(f"cell width must be positive, got dx={dx}")
         if u.ndim != 1 or u.shape[0] < 4:
@@ -215,11 +215,11 @@ class FluidGrid:
             np.all(np.isfinite(u[lo:hi])) and math.isfinite(u[0]) and math.isfinite(u[-1])
         ):
             raise ValueError("cell values must be finite")
+        u.flags.writeable = False
         self._set(
             u[lo:hi], float(u[0]), float(u[-1]), n, dx, left_edge, j_min, periodic, lo, hi, 0.0
         )
-        self._u = u.view()
-        self._u.flags.writeable = False
+        self._u = u
 
     def _set(self, cells, first, last, n, dx, left_edge, j_min, periodic, lo, hi, leak):
         self.cells, self.first, self.last, self.n = cells, first, last, n
@@ -417,23 +417,15 @@ def compute_dt(
     return _time_step(cfg, env, grid.dx)[0]
 
 
-def face_fluxes(
-    w: np.ndarray, k: int, v_flux: float, fm: float, fp: float, bulk: BulkFluxKind
-) -> tuple[np.ndarray, np.ndarray]:
-    """Fluxes through the left and right faces of the cells w[1:-1], whose
-    outer neighbors are w[0] and w[-1] (for a periodic box, the wrap-around
-    cells).
-
-    The bulk flux at v_flux fills every face except the one between the
-    particle cells, where the interface pair stands: fm is the right face of
-    cell k of w[1:-1], the cell left of the particle, and fp the left face of
-    cell k + 1.
-    """
-    F = bulk_flux(bulk, w[:-1], w[1:], v_flux)
-    left, right = F[:-1], F[1:].copy()
-    right[k] = fm
-    left[k + 1] = fp
-    return left, right
+def _flux_difference(faces: np.ndarray, k: int, fm: float, fp: float, out=None) -> np.ndarray:
+    """Right face minus left face of each cell between the faces: entry i is
+    faces[i + 1] - faces[i], except around the particle, where the interface
+    pair stands: fm is the right face of cell k, the cell left of the
+    particle, and fp the left face of cell k + 1."""
+    d = np.subtract(faces[1:], faces[:-1], out)
+    d[k] = fm - faces[k]
+    d[k + 1] = faces[k + 2] - fp
+    return d
 
 
 def _fluid_update(
@@ -448,21 +440,34 @@ def _fluid_update(
     neighbors, whose flux is one deterministic value on both sides, so the
     update would return it unchanged, bit for bit.  The new grid keeps the
     updated cells of its active range and nothing of the window.
+
+    One pass of ``bulk_flux`` over the faces, their difference with the
+    interface pair patched in, and the update run in four arrays allocated
+    here: the cells with their neighbors, which the update overwrites with
+    the new cells, and three buffers that die with the call, so concurrent
+    runs share nothing.  A padded window's leak is the flux through its
+    outer faces.
     """
     n, lo, hi, cells = grid.n, grid.lo, grid.hi, grid.cells
     p0 = grid.particle_index
-    mu_step = dt / grid.dx
+    # w: the updated cells with one neighbor a side.  A periodic box updates
+    # every cell, and the neighbors wrap around; a padded window updates
+    # cells a .. hi, the active range widened by one cell a side, whose
+    # outer neighbors are far-field cells.
     if grid.periodic:
         a = 0
-        ext = np.concatenate((cells[-1:], cells, cells[:1]))
+        w = np.empty(cells.shape[0] + 2)
+        w[0], w[1:-1], w[-1] = cells[-1], cells, cells[0]
     else:
-        # Cells a .. hi, the active range widened by one cell a side, are
-        # updated; ext holds them and one far-field neighbor on each side.
         a = lo - 1
-        ext = np.empty(hi - lo + 4)
-        ext[:2], ext[2:-2], ext[-2:] = grid.first, cells, grid.last
-    left, right = face_fluxes(ext, p0 - a, v_flux, fm, fp, cfg.bulk)
-    new = ext[1:-1] - mu_step * (right - left)
+        w = np.empty(hi - lo + 4)
+        w[:2], w[2:-2], w[-2:] = grid.first, cells, grid.last
+    m = w.shape[0] - 1  # faces
+    scratch = np.empty(m), np.empty(m), np.empty(m)
+    faces = bulk_flux(cfg.bulk, w[:-1], w[1:], v_flux, scratch)
+    d = _flux_difference(faces, p0 - a, fm, fp, scratch[0][:-1])
+    d *= dt / grid.dx
+    new = np.subtract(w[1:-1], d, out=w[1:-1])  # the new cells, in w's memory
     if grid.periodic:
         return FluidGrid._trusted(new, float(new[0]), float(new[-1]), grid, left_edge, 0, n, 0.0)
     new_lo, new_hi = _active_range(new, a, p0, grid.first, grid.last)
@@ -471,10 +476,7 @@ def _fluid_update(
     # [3, n-3), every updated cell in [2, n-2), and first, last are fixed.
     if min(lo, new_lo) < 3 or max(hi, new_hi) > n - 3:
         raise BoundaryGuardError("disturbance reached the padded boundary; enlarge the domain")
-    leak = dt * (
-        bulk_flux(cfg.bulk, grid.last, grid.last, v_flux)
-        - bulk_flux(cfg.bulk, grid.first, grid.first, v_flux)
-    )
+    leak = dt * float(faces[-1] - faces[0])
     return FluidGrid._trusted(
         new[new_lo - a : new_hi - a], grid.first, grid.last, grid, left_edge, new_lo, new_hi, leak
     )
@@ -486,8 +488,8 @@ def _step(
     """One step with every flux at the flux speed w: v^n, or for an implicit
     step the root of the velocity equation.  The velocity update conserves
     momentum with the interface pair at w; the mesh shifts by v^n."""
-    if dt <= 0.0:
-        raise ValueError(f"time step must be positive, got dt={dt}")
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"time step dt must be positive and finite, got dt={dt}")
     p0 = grid.particle_index
     u0, u1 = grid.cells[p0 - grid.lo : p0 - grid.lo + 2].tolist()
     v = particle.v

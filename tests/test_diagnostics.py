@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from burgers_particle import diagnostics
 from burgers_particle.diagnostics import (
     TAU_NUM,
     MaximalityVerdict,
@@ -194,6 +195,104 @@ def test_exact_sum_of_a_block_with_an_underflowing_row():
     assert [r.hex() for r in _exact_sum(rows, tails)] == [e.hex() for e in expected]
     empty = np.zeros((2, 0))
     assert _exact_sum(empty, [((3, 0.1),), ()]) == [math.fsum([0.1] * 3), 0.0]
+
+
+def _fsum_rows(rows, tails):
+    return [
+        math.fsum(list(row) + [c for k, c in t for _ in range(k)]) for row, t in zip(rows, tails)
+    ]
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    """The passes each row of the next ``_exact_sum`` calls takes: one
+    ``_rounded`` call a pass, keyed by the row's tails object."""
+    calls = {}
+    rounded = diagnostics._rounded
+
+    def counted(total, shift, tails, frac, err):
+        calls[id(tails)] = calls.get(id(tails), 0) + 1
+        return rounded(total, shift, tails, frac, err)
+
+    monkeypatch.setattr(diagnostics, "_rounded", counted)
+    return calls
+
+
+_H = 2.0**-53  # half an ulp of 1.0
+
+
+@pytest.mark.parametrize(
+    "row, least, most",
+    [
+        ([1.0, _H], 2, 2),  # a tie: rounds to even, down
+        ([1.0 + 2 * _H, _H], 2, 2),  # a tie: rounds to even, up
+        ([1.0, _H, _H * 2.0**-40], 1, 1),  # 2**-40 of half an ulp above the tie
+        ([1.0, _H, -_H * 2.0**-40], 1, 1),  # and below it
+        ([1.0, _H, 2.0**-150], 3, None),  # off the tie by less than a pass resolves
+        ([_H, 1.0, -(2.0**-150)], 3, None),
+        ([1.0, _H, 2.0**-200, 2.0**-260 - 2.0**-200], 3, None),
+        ([1.0, -1.0, 1e-300], 3, None),  # cancels, then a tiny remainder
+        ([0.5, -0.25, -0.25, -0.0], 1, 1),  # exact after one pass: 0, from fsum
+        ([-0.0, -0.0], 1, 1),
+    ],
+)
+def test_exact_sum_stops_once_its_rounding_is_decided(passes, row, least, most):
+    tails = ()
+    assert _exact_sum(np.array(row), tails).hex() == math.fsum(row).hex()
+    assert least <= passes[id(tails)] <= (most or math.inf)
+
+
+def test_exact_sum_of_dense_data_takes_one_pass(passes):
+    # a row like a periodic-dense state: its first pass decides it
+    row = np.random.default_rng(0).uniform(-0.5, 0.5, 12_000)
+    tails = ((0, 0.25), (0, -0.1))
+    assert _exact_sum(row, tails).hex() == math.fsum(row.tolist()).hex()
+    assert passes[id(tails)] == 1
+
+
+def test_exact_sum_of_a_block_of_decided_undecided_and_lossy_rows(passes):
+    # A dense row decided in one pass, rows near a tie or cancelling to 0
+    # that take more, and a row whose scaling would flush 5e-324 (fsum), all
+    # with nonzero tails.
+    width = 600
+    rows = np.zeros((5, width))
+    rows[0] = np.random.default_rng(1).uniform(-1.0, 1.0, width)
+    rows[1, :3] = 1.0, _H, 2.0**-150
+    rows[2, :4] = 0.5, -0.25, -0.25, -0.0
+    rows[3, :3] = 2.0**1000, 2.0**947, 5e-324
+    rows[4, :2] = 3.0, 2.0**-30
+    tails = [((7, 0.1), (3, -0.1)), ((2, 0.25),), ((2, 0.25), (1, -0.5)), ((4, 1e-300),), ((9, 0.5),)]
+    got = _exact_sum(rows, tails)
+    assert [r.hex() for r in got] == [e.hex() for e in _fsum_rows(rows.tolist(), tails)]
+    assert passes[id(tails[0])] == 1 and passes[id(tails[1])] > 1
+    assert id(tails[3]) not in passes  # the lossy row goes to fsum
+
+
+_near_tie = st.floats(1.0, 2.0, exclude_max=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    x0=_near_tie,
+    scale=st.integers(-60, 60),
+    k=st.integers(0, 80),
+    sign=st.sampled_from([1.0, -1.0, 0.0]),
+    cancel=st.floats(-1e6, 1e6, allow_nan=False),
+    n=st.integers(2, 3000),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(x0=1.0, scale=0, k=40, sign=1.0, cancel=0.0, n=2, seed=0)
+def test_exact_sum_near_a_rounding_midpoint_has_the_bits_of_fsum(
+    x0, scale, k, sign, cancel, n, seed
+):
+    # x0 plus half its ulp is a tie; a third term 2**-k of half an ulp moves
+    # the sum just off it (or not, at sign 0), and a cancelling pair and
+    # zeros pad the row, shuffled.
+    x0 = math.ldexp(x0, scale)
+    half = math.ulp(x0) / 2
+    terms = [x0, half, sign * half * 2.0**-k, cancel, -cancel] + [0.0] * (n - 2)
+    row = np.random.default_rng(seed).permutation(np.array(terms))
+    assert _exact_sum(row).hex() == math.fsum(terms).hex()
 
 
 _LEAF_EDGES = [1, 5, 7, 8, 9, 127, 128, 129, 136, 255, 256, 257, 20_000]

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from burgers_particle import flux
 from burgers_particle.diagnostics import dissipativity_probe
@@ -319,3 +321,36 @@ def test_float_path_matches_array_path_bit_for_bit():
                 assert (_bits(pair[0]), _bits(pair[1])) == (_bits(gm[k]), _bits(gp[k])), (
                     iface, kind, a[k], b[k], v[k], lams[k],
                 )
+
+
+_face_states = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 5e-324, -5e-324, 1e-160, -3e-155]),
+    st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    w=st.lists(_face_states, min_size=2, max_size=40),
+    v=_face_states,
+    at_v=st.lists(st.integers(0, 39), max_size=6),
+    kind=st.sampled_from(BULKS),
+)
+@example(w=[0.0, -0.0, -0.0, 0.0, 1.0], v=0.0, at_v=[], kind=BulkFluxKind.GODUNOV)
+@example(w=[-0.0, 0.0, -1.0, 0.0], v=-0.0, at_v=[0], kind=BulkFluxKind.ENGQUIST_OSHER)
+@example(w=[1e-160, -3e-155, 5e-324], v=0.0, at_v=[], kind=BulkFluxKind.RUSANOV)
+def test_one_pass_faces_have_the_bits_of_the_two_point_flux(w, v, at_v, kind):
+    # bulk_flux over the shifted views of one array of cells, working in
+    # three buffers, is the fluid update's one pass over the faces.  It must
+    # give the bits of the allocating call and of a float call at every
+    # face, on signed zeros, subnormals, squares that underflow, cells equal
+    # to v and v = 0.
+    w = np.array(w)
+    w[[i % len(w) for i in at_v]] = v
+    out = tuple(np.full(len(w) - 1, np.nan) for _ in range(3))
+    faces = bulk_flux(kind, w[:-1], w[1:], v, out)
+    assert any(faces is buffer for buffer in out[1:])
+    assert faces.tobytes() == bulk_flux(kind, w[:-1], w[1:], v).tobytes()
+    floats = [bulk_flux(kind, a, b, v) for a, b in zip(w[:-1].tolist(), w[1:].tolist())]
+    assert all(isinstance(f, float) for f in floats)
+    assert faces.tobytes() == np.array(floats).tobytes()

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from burgers_particle.diagnostics import (
     total_variation,
 )
 from burgers_particle import diagnostics, scheme
-from burgers_particle.flux import BulkFluxKind, InterfaceFluxKind, interface_fluxes
+from burgers_particle.flux import BulkFluxKind, InterfaceFluxKind, bulk_flux, interface_fluxes
 from burgers_particle.scheme import (
     BoundaryGuardError,
     Domain,
@@ -441,6 +442,100 @@ def test_a_padded_step_allocates_its_active_cells_not_its_window():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 1024
+
+
+def _face_fluxes_reference(w, k, v_flux, fm, fp, bulk):
+    # Reference assembly: the bulk faces of the cells w[1:-1] as separate
+    # left and right arrays, with the interface pair put in.  The one-pass
+    # fluid update must give its bits.
+    F = bulk_flux(bulk, w[:-1], w[1:], v_flux)
+    left, right = F[:-1], F[1:].copy()
+    right[k] = fm
+    left[k + 1] = fp
+    return left, right
+
+
+def _fluid_update_reference(grid, v_flux, dt, fm, fp, bulk):
+    """The window after the fluid update, and its leak, by that assembly."""
+    cells, lo, hi, p0 = grid.cells, grid.lo, grid.hi, grid.particle_index
+    if grid.periodic:
+        a, leak = 0, 0.0
+        ext = np.concatenate((cells[-1:], cells, cells[:1]))
+    else:
+        a = lo - 1
+        ext = np.empty(hi - lo + 4)
+        ext[:2], ext[2:-2], ext[-2:] = grid.first, cells, grid.last
+        leak = dt * (
+            bulk_flux(bulk, grid.last, grid.last, v_flux)
+            - bulk_flux(bulk, grid.first, grid.first, v_flux)
+        )
+    left, right = _face_fluxes_reference(ext, p0 - a, v_flux, fm, fp, bulk)
+    new = ext[1:-1] - (dt / grid.dx) * (right - left)
+    if grid.periodic:
+        return new, leak
+    # the updated cells, of which those equal to the far field read as it
+    new_lo, new_hi = scheme._active_range(new, a, p0, grid.first, grid.last)
+    u = np.empty(grid.n)
+    u[:new_lo], u[new_lo:new_hi], u[new_hi:] = grid.first, new[new_lo - a : new_hi - a], grid.last
+    return u, leak
+
+
+_update_values = st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324]) | st.floats(-2.0, 2.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    middle=st.lists(_update_values, min_size=4, max_size=12),
+    first=_update_values,
+    last=_update_values,
+    at=st.integers(0, 10),
+    periodic=st.booleans(),
+    v=_update_values,
+    pair=st.tuples(_update_values, _update_values),
+    dt=st.floats(1e-4, 0.05),
+    bulk=st.sampled_from(BULKS),
+)
+@example(
+    middle=[0.0, -0.0, 0.0, 1.0], first=-0.0, last=0.0, at=0, periodic=False, v=0.0,
+    pair=(0.0, -0.0), dt=0.01, bulk=BulkFluxKind.GODUNOV,
+)
+def test_fluid_update_has_the_bits_of_the_face_flux_assembly(
+    middle, first, last, at, periodic, v, pair, dt, bulk
+):
+    # The one-pass update, its patched difference and the leak through the
+    # outer faces give the window and leak bits of the face_fluxes assembly,
+    # in a periodic box and in a padded window with four far-field cells a
+    # side.
+    p0 = 4 + at % (len(middle) - 1)
+    u = np.array([first] * 4 + middle + [last] * 4)
+    if periodic:
+        u, p0 = np.array(middle), at % (len(middle) - 1)
+    grid = FluidGrid(u=u, dx=0.1, left_edge=-0.1 * (p0 + 1), j_min=-p0, periodic=periodic)
+    cfg = base_cfg(bulk=bulk)
+    u_ref, leak_ref = _fluid_update_reference(grid, v, dt, *pair, bulk)
+    new = scheme._fluid_update(grid, v, dt, *pair, cfg, grid.left_edge)
+    assert new.u.tobytes() == u_ref.tobytes()
+    assert _bits(new.leak) == _bits(leak_ref)
+
+
+def test_a_grid_keeps_its_cells_when_the_caller_changes_its_array():
+    a = np.array([0, 0, 0, 0, 1.0, 2.0, 0, 0, 0, 0])
+    grid = FluidGrid(u=a, dx=0.1, left_edge=-0.5, j_min=-4)
+    a[1] = 3.0
+    assert (grid.lo, grid.hi) == (4, 6)
+    assert grid.u.tolist() == [0, 0, 0, 0, 1.0, 2.0, 0, 0, 0, 0]
+    assert not grid.u.flags.writeable and not grid.cells.flags.writeable
+
+
+@pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf, 0.0, -0.01])
+def test_a_step_names_a_time_step_that_is_not_positive_and_finite(dt):
+    cfg = base_cfg()
+    grid, part = init_state(PiecewiseConstant.riemann(1.0, 0.0), 0.0, 0.5, cfg, 0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for advance in (step, step_implicit):
+            with pytest.raises(ValueError, match="time step dt must be positive and finite"):
+                advance(grid, part, cfg, dt)
 
 
 def _loop_reference_step(grid, part, cfg, dt):
@@ -1031,11 +1126,16 @@ def test_concurrent_runs_match_serial_runs():
 
     u0 = PiecewiseConstant(breakpoints=(-0.2, 0.1), values=(0.6, -0.3, 0.2))
     cfgs = [base_cfg(T=0.3, bulk=b) for b in BULKS]
+    # a dense box: every step works in buffers as wide as the box
+    cfgs.append(base_cfg(T=0.3, bulk=BulkFluxKind.ENGQUIST_OSHER, domain=Domain.PERIODIC,
+                         half_width=7.0))
     serial = [run(u0, 0.0, 0.25, c, 0.05) for c in cfgs]
-    with ThreadPoolExecutor(max_workers=3) as pool:
+    with ThreadPoolExecutor(max_workers=len(cfgs)) as pool:
         threaded = list(pool.map(lambda c: run(u0, 0.0, 0.25, c, 0.05), cfgs))
     for a, b in zip(serial, threaded):
         assert np.array_equal(a.v, b.v)
+        assert a.momentum.tobytes() == b.momentum.tobytes()
+        assert a.tv.tobytes() == b.tv.tobytes()
         assert np.array_equal(a.snapshots[-1][1].u, b.snapshots[-1][1].u)
 
 
