@@ -33,11 +33,12 @@ import numpy as np
 
 from .diagnostics import (
     TAU_NUM,
+    check_run,
     convergence_study,
     dissipativity_probe,
     maximality_probe,
 )
-from .flux import BulkFluxKind, InterfaceFluxKind, lipschitz_bound
+from .flux import BulkFluxKind, InterfaceFluxKind
 from .scheme import (
     BoundaryGuardError,
     Domain,
@@ -176,25 +177,16 @@ def parse_config(text: str) -> ExperimentConfig:
         bp_raw, bp_line = need("breakpoints")
         val_raw, val_line = need("values")
         bps = _parse_float_list("breakpoints", bp_raw, bp_line)
-        if any(b <= a for a, b in zip(bps, bps[1:])):
-            raise ConfigError(f"line {bp_line}: key 'breakpoints' must be strictly increasing")
         try:
             u0 = PiecewiseConstant(bps, _parse_float_list("values", val_raw, val_line))
-        except ValueError as exc:
-            raise ConfigError(f"line {val_line}: key 'values': {exc}") from None
+        except ValueError as exc:  # the message names the key
+            line = bp_line if str(exc).startswith("key 'breakpoints'") else val_line
+            raise ConfigError(f"line {line}: {exc}") from None
     else:
         raise ConfigError("missing initial datum: u_minus/u_plus or breakpoints/values")
 
-    # Semantic validation with key names in the message (every number is
-    # already finite).
-    if lam <= 0:
-        raise ConfigError("key 'lambda' must be positive")
-    if mass <= 0:
-        raise ConfigError("key 'mass' must be positive")
-    if mu <= 0:
-        raise ConfigError("key 'mu' must be positive")
-    if T < 0:
-        raise ConfigError("key 'T' must be nonnegative")
+    # What SchemeConfig cannot know, with key names in the message (every
+    # number is already finite); SchemeConfig checks the rest.
     if not dx_levels or any(dx <= 0 for dx in dx_levels):
         raise ConfigError("key 'dx' must list positive values")
     if any(t < 0 or t > T for t in snapshots):
@@ -281,36 +273,10 @@ def cmd_run(cfg: ExperimentConfig, out_dir: Path) -> int:
     for name, (_, grid) in zip(names, traj.snapshots):
         _write_csv(out_dir / name, ["x", "u"], [grid.cell_centers(), grid])
 
-    status = 0
-    env = traj.env
-    lam = cfg.scheme.lam
-    L = lipschitz_bound(cfg.scheme.bulk, env.m, env.M, env.v_lo, env.v_hi, lam)
-    u0_sup = max(abs(v) for v in cfg.u0.values)
-    v_sup = max(abs(env.v_lo), abs(env.v_hi))
-    accel_limit = (2.0 * L / cfg.scheme.m_p) * (u0_sup + lam + v_sup)
-    tv_limit = traj.tv[0] + 2.0 * lam + TAU_NUM
-    mom0 = traj.momentum[0]
-    columns = (traj.momentum, traj.boundary_flux, traj.u_min, traj.u_max, traj.tv, traj.v, traj.accel)
-    for n, (mom, bflux, u_min, u_max, tv, v, accel) in enumerate(zip(*(c.tolist() for c in columns))):
-        # On a padded domain the co-moving window exchanges momentum through
-        # its edges; the exact identity includes that boundary flux.
-        drift = abs(mom + bflux - mom0)
-        if drift > 1e-12 * (1 + n):
-            _fail("momentum_drift", drift, 1e-12 * (1 + n))
-            status = 1
-        if u_min < env.m - TAU_NUM or u_max > env.M + TAU_NUM:
-            _fail("invariant_region", (u_min, u_max), (env.m, env.M))
-            status = 1
-        if tv > tv_limit:
-            _fail("total_variation", tv, tv_limit)
-            status = 1
-        if not env.v_lo - TAU_NUM <= v <= env.v_hi + TAU_NUM:
-            _fail("velocity_bounds", v, (env.v_lo, env.v_hi))
-            status = 1
-        if accel > accel_limit + TAU_NUM:
-            _fail("acceleration_bound", accel, accel_limit)
-            status = 1
-    return status
+    violations = check_run(traj, cfg.scheme, cfg.u0)
+    for violation in violations:
+        _fail(*violation)
+    return 1 if violations else 0
 
 
 def cmd_convergence(cfg: ExperimentConfig, out_dir: Path) -> int:

@@ -17,7 +17,7 @@ from .flux import BulkFluxKind, InterfaceFluxKind, bulk_flux, interface_fluxes, 
 from .germ import GermRegion, classify, dist1_to_H, in_germ
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .scheme import FluidGrid, ParticleState, PiecewiseConstant, SchemeConfig
+    from .scheme import FluidGrid, ParticleState, PiecewiseConstant, SchemeConfig, Trajectory
 
 # Tolerance for nonnegativity / monotonicity probes; dominated by rounding
 # accumulation in ~1e3-term expressions.
@@ -57,6 +57,36 @@ def bounds_envelope(
     m = min(inf_l - lam, inf_r)
     M = max(sup_l, sup_r + lam)
     return BoundsEnvelope(m=m, M=M, v_lo=min(m, v0), v_hi=max(M, v0))
+
+
+def check_run(traj: "Trajectory", cfg: "SchemeConfig", u0: "PiecewiseConstant") -> list[tuple]:
+    """Every violation of the run's a priori bounds as (check, value, limit),
+    state by state, and within a state in the order momentum_drift,
+    invariant_region, total_variation, velocity_bounds, acceleration_bound."""
+    env, lam = traj.env, cfg.lam
+    L = lipschitz_bound(cfg.bulk, env.m, env.M, env.v_lo, env.v_hi, lam)
+    u0_sup = max(abs(v) for v in u0.values)
+    v_sup = max(abs(env.v_lo), abs(env.v_hi))
+    accel_limit = (2.0 * L / cfg.m_p) * (u0_sup + lam + v_sup)
+    tv_limit = traj.tv[0] + 2.0 * lam + TAU_NUM
+    mom0 = traj.momentum[0]
+    columns = (traj.momentum, traj.boundary_flux, traj.u_min, traj.u_max, traj.tv, traj.v, traj.accel)
+    out = []
+    for n, (mom, bflux, u_min, u_max, tv, v, accel) in enumerate(zip(*(c.tolist() for c in columns))):
+        # On a padded domain the co-moving window exchanges momentum through
+        # its edges; the exact identity includes that boundary flux.
+        drift = abs(mom + bflux - mom0)
+        if drift > 1e-12 * (1 + n):
+            out.append(("momentum_drift", drift, 1e-12 * (1 + n)))
+        if u_min < env.m - TAU_NUM or u_max > env.M + TAU_NUM:
+            out.append(("invariant_region", (u_min, u_max), (env.m, env.M)))
+        if tv > tv_limit:
+            out.append(("total_variation", tv, tv_limit))
+        if not env.v_lo - TAU_NUM <= v <= env.v_hi + TAU_NUM:
+            out.append(("velocity_bounds", v, (env.v_lo, env.v_hi)))
+        if accel > accel_limit + TAU_NUM:
+            out.append(("acceleration_bound", accel, accel_limit))
+    return out
 
 
 def _copies(c: float, k: int) -> list[float]:
@@ -723,6 +753,7 @@ def _auto_reference(u0, h0, v0, cfg, levels):
                 v0=v0,
                 m_p=cfg.m_p,
                 lam=cfg.lam,
+                h0=h0,
             )
         except ValueError:
             pass

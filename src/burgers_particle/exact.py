@@ -20,13 +20,15 @@ from .germ import in_germ
 
 @dataclass(frozen=True)
 class ParticleRiemannProblem:
-    """Two-state initial datum with the jump at the particle (h0 = 0)."""
+    """Two-state initial datum with the jump at the particle, which starts
+    at h0."""
 
     u_minus: float
     u_plus: float
     v0: float
     m_p: float
     lam: float
+    h0: float = 0.0
 
     def __post_init__(self):
         if self.m_p <= 0.0:
@@ -68,13 +70,13 @@ def germ2_exact(p: ParticleRiemannProblem, t: float):
 
 def germ2_path(p: ParticleRiemannProblem, times) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized (h(t), h'(t)) over an array of times (for error tables):
-    h(t) = w*t + (v0 - w) * (m_p/du) * (1 - exp(-du*t/m_p)) with
+    h(t) = w*t + (v0 - w) * (m_p/du) * (1 - exp(-du*t/m_p)) + h0 with
     w = (u_minus + u_plus)/2 and du = u_minus - u_plus."""
     t = np.asarray(times, dtype=float)
     w = p.mean_state
     du = p.u_minus - p.u_plus
     decay = np.exp(-du * t / p.m_p)
-    h = w * t + (p.v0 - w) * (p.m_p / du) * (1.0 - decay)
+    h = w * t + (p.v0 - w) * (p.m_p / du) * (1.0 - decay) + p.h0
     return h, w + (p.v0 - w) * decay
 
 

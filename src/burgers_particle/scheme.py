@@ -58,9 +58,9 @@ class PiecewiseConstant:
         object.__setattr__(self, "breakpoints", bps)
         object.__setattr__(self, "values", vals)
         if len(vals) != len(bps) + 1:
-            raise ValueError("need len(values) == len(breakpoints) + 1")
+            raise ValueError("key 'values' must hold one value more than key 'breakpoints'")
         if any(b <= a for a, b in zip(bps, bps[1:])):
-            raise ValueError("breakpoints must be strictly increasing")
+            raise ValueError("key 'breakpoints' must be strictly increasing")
         if not all(map(math.isfinite, bps + vals)):
             raise ValueError("breakpoints and values must be finite")
 
@@ -141,13 +141,13 @@ class SchemeConfig:
 
     def __post_init__(self):
         if self.lam <= 0.0:
-            raise ValueError(f"friction must be positive, got lam={self.lam}")
+            raise ValueError(f"key 'lambda' (friction) must be positive, got lam={self.lam}")
         if self.mu <= 0.0:
-            raise ValueError(f"mesh ratio must be positive, got mu={self.mu}")
+            raise ValueError(f"key 'mu' (mesh ratio) must be positive, got mu={self.mu}")
         if self.T < 0.0:
-            raise ValueError(f"final time must be nonnegative, got T={self.T}")
+            raise ValueError(f"key 'T' (final time) must be nonnegative, got T={self.T}")
         if self.m_p <= 0.0:
-            raise ValueError(f"particle mass must be positive, got m_p={self.m_p}")
+            raise ValueError(f"key 'mass' (particle mass) must be positive, got m_p={self.m_p}")
         if self.dt_override is not None and self.dt_override <= 0.0:
             raise ValueError("dt_override must be positive when given")
         if self.domain is Domain.PERIODIC:
@@ -365,7 +365,8 @@ def init_state(
     cell per step) and six more.  The periodic domain uses the configured
     half width, which ``run`` checks against the step it takes before it
     lays the box out.  A window of more than MAX_CELLS cells, more rows than
-    a snapshot file may hold, is refused before anything is allocated.
+    a snapshot file may hold, is refused before anything is allocated, and a
+    mesh whose edges are not strictly increasing before its cells are averaged.
     """
     _check_start(h0, v0, dx)
     if cfg.domain is Domain.PERIODIC:
@@ -389,6 +390,10 @@ def init_state(
         j_min = 1 - n_left
     # anchor the mesh at the particle so the interface sits exactly at h0
     edges = h0 + dx * (np.arange(n_left + n_right + 1) - n_left)
+    if not (edges[1:] > edges[:-1]).all():  # dx is below the float spacing near h0
+        raise ValueError(
+            f"the mesh edges are not strictly increasing at h0={h0!r}, dx={dx!r}; check 'h0' and 'dx'"
+        )
     left_edge = float(edges[0])
     u = u0.cell_averages(edges)
     grid = FluidGrid(

@@ -90,6 +90,54 @@ def test_parse_rejections_name_the_key(line, fragment):
         parse_config(base + line + "\n")
 
 
+@pytest.mark.parametrize("key,value", [("lambda", "0"), ("mass", "-1"), ("mu", "0"), ("T", "-0.5")])
+def test_scheme_rules_are_refused_by_scheme_config_naming_the_key(key, value):
+    # SchemeConfig owns these rules; the parser passes its message on.
+    lines = MINIMAL.splitlines()
+    lines = [f"{key} = {value}" if line.startswith(key + " ") else line for line in lines]
+    with pytest.raises(ConfigError, match=f"^key '{key}'"):
+        parse_config("\n".join(lines) + "\n")
+
+
+def test_parse_names_the_values_key_for_a_datum_of_the_wrong_length():
+    text = MINIMAL.replace("u_minus = 1\nu_plus = -1\n", "") + "breakpoints = 0\nvalues = 1\n"
+    with pytest.raises(ConfigError, match="^line 9: key 'values'"):
+        parse_config(text)
+
+
+def test_run_refuses_a_mesh_that_floating_point_cannot_resolve(tmp_path, capsys):
+    # Near h0 = 1e17 floats are 16 apart, so the edges h0 + k*dx with
+    # dx = 0.1 take a few distinct values: the cells would have no width.
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(MINIMAL + "h0 = 1e17\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", str(cfg_path), "--out", str(out)]) == 2
+    fail = capsys.readouterr().out.splitlines()
+    assert len(fail) == 1 and fail[0].startswith("FAIL check=execution")
+    assert "'h0'" in fail[0] and "'dx'" in fail[0]
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "add",
+    ["snapshots = 0.1, 0.25\n", "flux = eo\ndomain = periodic\nhalf_width = 10\n"],
+    ids=["padded", "periodic"],
+)
+def test_runs_in_two_threads_write_identical_files(add, tmp_path):
+    # cli.main keeps no state in module globals: one config run in two
+    # threads at once gives the same exit code and the same bytes.
+    from concurrent.futures import ThreadPoolExecutor
+
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(MINIMAL.replace("dx = 0.1", "dx = 0.01") + add, encoding="utf-8")
+    outs = [tmp_path / "a", tmp_path / "b"]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        codes = list(pool.map(lambda out: main(["run", str(cfg_path), "--out", str(out)]), outs))
+    assert codes == [0, 0]
+    a, b = ({p.name: p.read_bytes() for p in out.iterdir()} for out in outs)
+    assert a == b and "particle.csv" in a and len(a) >= 2
+
+
 def test_periodic_box_below_the_guard_fails_at_execution(tmp_path, capsys):
     # half_width = 1 parses; run refuses it against the influence guard
     # 3*T*dx/dt of the step the CFL ratio 'mu' sets.

@@ -767,3 +767,21 @@ def test_convergence_study_validates_levels():
         convergence_study(u0, 0.0, 0.0, cfg, [0.1, 0.05])
     with pytest.raises(ValueError):
         convergence_study(u0, 0.0, 0.0, cfg, [0.1, 0.1, 0.05])
+
+
+def test_exact_convergence_reference_starts_at_h0():
+    # The automatic exact reference follows the particle from its own h0:
+    # moving the whole problem to h0 = 0.3 moves the errors only by rounding.
+    cfg = SchemeConfig(lam=1.0, mu=0.25, T=0.5, m_p=1.0)
+    levels = [0.04, 0.02, 0.01]
+    at = {
+        h0: convergence_study(PiecewiseConstant.riemann(1.0, -1.0, h0), h0, 0.5, cfg, levels)
+        for h0 in (0.0, 0.3)
+    }
+    for a, b in zip(at[0.0], at[0.3]):
+        assert b.err_h_sup == pytest.approx(a.err_h_sup, rel=1e-9)
+        assert b.err_u_L1 == pytest.approx(a.err_u_L1, rel=1e-9)
+        assert b.err_v_sup == pytest.approx(a.err_v_sup, rel=1e-9)
+    for row in at[0.3][1:]:
+        assert row.order_u == pytest.approx(1.0, abs=0.01)
+        assert row.order_h == pytest.approx(1.0, abs=0.01)

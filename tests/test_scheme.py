@@ -131,6 +131,21 @@ def test_init_rejects_bad_inputs():
             run(u0, 0.0, 0.0, cfg, 0.0)
 
 
+def test_init_refuses_a_mesh_that_floating_point_cannot_resolve():
+    # Near 1e17 floats are 16 apart: the edges h0 + k*dx with dx = 0.1 take
+    # only a few distinct values, so the cells would have no width.
+    u0 = PiecewiseConstant.riemann(1.0, -1.0, 1e17)
+    with pytest.raises(ValueError, match="not strictly increasing") as err:
+        init_state(u0, 1e17, 0.0, base_cfg(T=0.5), 0.1)
+    assert "'h0'" in str(err.value) and "'dx'" in str(err.value)
+    periodic = base_cfg(T=0.5, domain=Domain.PERIODIC, half_width=10.0)
+    with pytest.raises(ValueError, match="'h0' and 'dx'"):
+        init_state(u0, 1e17, 0.0, periodic, 0.1)
+    far = PiecewiseConstant.riemann(1.0, -1.0, 1e6)
+    grid, _ = init_state(far, 1e6, 0.0, base_cfg(T=0.5), 0.1)  # resolved: laid out
+    assert np.all(np.diff(grid.cell_edges()) > 0)
+
+
 # ---------------------------------------------------------------- compute_dt
 
 
