@@ -25,7 +25,7 @@ import argparse
 import math
 import sys
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
+from itertools import chain, islice, product, repeat
 from pathlib import Path
 from typing import Iterable
 
@@ -54,15 +54,14 @@ class ConfigError(ValueError):
     pass
 
 
-_FLUXES = {"godunov": BulkFluxKind.GODUNOV, "rusanov": BulkFluxKind.RUSANOV, "eo": BulkFluxKind.ENGQUIST_OSHER}
-_IFACES = {"max-germ": InterfaceFluxKind.MAX_GERM, "g1-only": InterfaceFluxKind.G1_ONLY}
-_UPDATES = {"explicit": VelocityUpdate.EXPLICIT, "implicit": VelocityUpdate.IMPLICIT}
-_DOMAINS = {"padded": Domain.PADDED, "periodic": Domain.PERIODIC}
+# The config keys that choose a SchemeConfig field, with the enum whose
+# values spell the choices; a key a config leaves out takes the default.
+_ENUMS = {"flux": ("bulk", BulkFluxKind), "iface": ("iface", InterfaceFluxKind),
+          "velocity_update": ("velocity_update", VelocityUpdate), "domain": ("domain", Domain)}
 
 _KEYS = {
-    "lambda", "mass", "mu", "dx", "T", "flux", "iface", "velocity_update",
-    "domain", "half_width", "u_minus", "u_plus", "h0", "v0", "snapshots",
-    "seed", "breakpoints", "values",
+    "lambda", "mass", "mu", "dx", "T", *_ENUMS, "half_width", "u_minus", "u_plus", "h0", "v0",
+    "snapshots", "seed", "breakpoints", "values",
 }
 
 
@@ -99,7 +98,9 @@ def _parse_float_list(key: str, raw: str, line: int) -> tuple[float, ...]:
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse and validate a line-oriented ``key = value`` configuration."""
+    """Parse a line-oriented ``key = value`` configuration.  The parser owns
+    the syntax, the key names and their lines; SchemeConfig and
+    PiecewiseConstant own the rules on their values and the defaults."""
     raw: dict[str, tuple[str, int]] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
@@ -117,43 +118,31 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}: key '{key}' has no value")
         raw[key] = (value, lineno)
 
-    def take(key, default=None):
-        return raw.pop(key, (default, 0))
-
     def need(key):
         if key not in raw:
             raise ConfigError(f"missing required key '{key}'")
         return raw.pop(key)
 
-    lam = _parse_float("lambda", *need("lambda"))
-    mass = _parse_float("mass", *need("mass"))
-    mu = _parse_float("mu", *need("mu"))
-    dx_raw, dx_line = need("dx")
-    dx_levels = _parse_float_list("dx", dx_raw, dx_line)
+    lam, mass, mu = (_parse_float(key, *need(key)) for key in ("lambda", "mass", "mu"))
+    dx_levels = _parse_float_list("dx", *need("dx"))
     T = _parse_float("T", *need("T"))
-
-    def enum_value(key, table, default):
-        value, lineno = take(key)
-        if value is None:
-            return default
-        if value not in table:
-            raise ConfigError(
-                f"line {lineno}: key '{key}': expected one of {sorted(table)}, got {value!r}"
-            )
-        return table[value]
-
-    bulk = enum_value("flux", _FLUXES, BulkFluxKind.GODUNOV)
-    iface = enum_value("iface", _IFACES, InterfaceFluxKind.MAX_GERM)
-    update = enum_value("velocity_update", _UPDATES, VelocityUpdate.EXPLICIT)
-    domain = enum_value("domain", _DOMAINS, Domain.PADDED)
-
-    half_width = None
+    scheme = {"lam": lam, "m_p": mass, "mu": mu, "T": T}
+    for key, (field, kind) in _ENUMS.items():
+        if key in raw:
+            value, lineno = raw.pop(key)
+            try:
+                scheme[field] = kind(value)
+            except ValueError:
+                spellings = sorted(choice.value for choice in kind)
+                raise ConfigError(
+                    f"line {lineno}: key '{key}': expected one of {spellings}, got {value!r}"
+                ) from None
     if "half_width" in raw:
-        half_width = _parse_float("half_width", *raw.pop("half_width"))
+        scheme["half_width"] = _parse_float("half_width", *raw.pop("half_width"))
 
-    h0 = _parse_float("h0", *take("h0", "0"))
-    v0 = _parse_float("v0", *take("v0", "0"))
-    seed_raw, seed_line = take("seed", "0")
+    h0 = _parse_float("h0", *raw.pop("h0", ("0", 0)))
+    v0 = _parse_float("v0", *raw.pop("v0", ("0", 0)))
+    seed_raw, seed_line = raw.pop("seed", ("0", 0))
     try:
         seed = int(seed_raw)
     except ValueError:
@@ -161,9 +150,7 @@ def parse_config(text: str) -> ExperimentConfig:
     if seed < 0:
         raise ConfigError(f"line {seed_line}: key 'seed' must be nonnegative, got {seed}")
 
-    snapshots: tuple[float, ...] = ()
-    if "snapshots" in raw:
-        snapshots = _parse_float_list("snapshots", *raw.pop("snapshots"))
+    snapshots = _parse_float_list("snapshots", *raw.pop("snapshots", ("", 0)))
 
     has_riemann = "u_minus" in raw or "u_plus" in raw
     has_pieces = "breakpoints" in raw or "values" in raw
@@ -191,14 +178,9 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError("key 'dx' must list positive values")
     if any(t < 0 or t > T for t in snapshots):
         raise ConfigError("key 'snapshots' times must lie in [0, T]")
-    if half_width is not None and domain is not Domain.PERIODIC:
-        raise ConfigError("key 'half_width' applies only to domain = periodic")
 
     try:
-        scheme_cfg = SchemeConfig(
-            lam=lam, mu=mu, T=T, m_p=mass, bulk=bulk, iface=iface,
-            velocity_update=update, domain=domain, half_width=half_width,
-        )
+        scheme_cfg = SchemeConfig(**scheme)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     return ExperimentConfig(
@@ -208,12 +190,15 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def _fmt(x) -> str:
+    """One CSV cell or FAIL-line value as text; a pair prints as (a,b)."""
     if isinstance(x, (bool, np.bool_)):
         return "1" if x else "0"
     if isinstance(x, str):
         return x
     if isinstance(x, (int, np.integer)):
         return str(int(x))
+    if isinstance(x, tuple):
+        return "(" + ",".join(map(_fmt, x)) + ")"
     return format(float(x), ".17g")
 
 
@@ -249,111 +234,104 @@ def _write_csv(path: Path, header: list[str], columns) -> None:
             f.write(line * len(chunk) % tuple(chain.from_iterable(chunk)))
 
 
-def _fail(name: str, value, limit) -> None:
-    def fmt(x) -> str:
-        if isinstance(x, tuple):
-            return "(" + ",".join(map(_fmt, x)) + ")"
-        return _fmt(x)
-
-    print(f"FAIL check={name} value={fmt(value)} limit={fmt(limit)}")
-
-
-def cmd_run(cfg: ExperimentConfig, out_dir: Path) -> int:
+def _command(out_dir: Path, work) -> int:
+    """Make ``out_dir``, then do a command's ``work()``, which returns its CSV
+    files as ``(name, header, columns)`` and its gate's violations as ``(check,
+    value, limit)``: write the files, print a FAIL line per violation, and exit
+    1 if there is any, else 0.  A refused ``work`` raises and writes nothing."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    traj = run(cfg.u0, cfg.h0, cfg.v0, cfg.scheme, cfg.dx, snapshot_times=cfg.snapshot_times)
-    names = [f"u_{t_snap:.6f}.csv" for t_snap, _ in traj.snapshots]
-    clash = [a for a, b in zip(names, names[1:]) if a == b]
-    if clash:
-        raise ConfigError(f"key 'snapshots': two stored times would share the file {clash[0]}")
-    _write_csv(
-        out_dir / "particle.csv",
-        ["t", "h", "v", "momentum", "tv", "accel", "trace_germ_dist"],
-        [traj.times, traj.h, traj.v, traj.momentum, traj.tv, traj.accel, traj.trace_germ_dist],
-    )
-    for name, (_, grid) in zip(names, traj.snapshots):
-        _write_csv(out_dir / name, ["x", "u"], [grid.cell_centers(), grid])
-
-    violations = check_run(traj, cfg.scheme, cfg.u0)
-    for violation in violations:
-        _fail(*violation)
+    files, violations = work()
+    for name, header, columns in files:
+        _write_csv(out_dir / name, header, columns)
+    for check, value, limit in violations:
+        print(f"FAIL check={check} value={_fmt(value)} limit={_fmt(limit)}")
     return 1 if violations else 0
 
 
+def cmd_run(cfg: ExperimentConfig, out_dir: Path) -> int:
+    def work():
+        traj = run(cfg.u0, cfg.h0, cfg.v0, cfg.scheme, cfg.dx, snapshot_times=cfg.snapshot_times)
+        names = [f"u_{t_snap:.6f}.csv" for t_snap, _ in traj.snapshots]
+        clash = [a for a, b in zip(names, names[1:]) if a == b]
+        if clash:
+            raise ConfigError(f"key 'snapshots': two stored times would share the file {clash[0]}")
+        particle = (
+            "particle.csv",
+            ["t", "h", "v", "momentum", "tv", "accel", "trace_germ_dist"],
+            [traj.times, traj.h, traj.v, traj.momentum, traj.tv, traj.accel, traj.trace_germ_dist],
+        )
+        # a generator: each snapshot's cell centers are built as its file is written
+        snapshots = ((name, ["x", "u"], [grid.cell_centers(), grid])
+                     for name, (_, grid) in zip(names, traj.snapshots))
+        return chain([particle], snapshots), check_run(traj, cfg.scheme, cfg.u0)
+
+    return _command(out_dir, work)
+
+
 def cmd_convergence(cfg: ExperimentConfig, out_dir: Path) -> int:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    try:  # the study owns the dx ladder rule; its refusals name the key
-        rows = convergence_study(cfg.u0, cfg.h0, cfg.v0, cfg.scheme, cfg.dx_levels)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    _write_csv(
-        out_dir / "convergence.csv",
-        ["dx", "err_u_L1", "err_h_sup", "err_v_sup", "order_u", "order_h"],
-        zip(*(
-            (
-                r.dx, r.err_u_L1, r.err_h_sup, r.err_v_sup,
-                "" if r.order_u is None else r.order_u,
-                "" if r.order_h is None else r.order_h,
-            )
+    def work():
+        try:  # the study owns the dx ladder rule; its refusals name the key
+            rows = convergence_study(cfg.u0, cfg.h0, cfg.v0, cfg.scheme, cfg.dx_levels)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        table = [
+            (r.dx, r.err_u_L1, r.err_h_sup, r.err_v_sup,
+             "" if r.order_u is None else r.order_u, "" if r.order_h is None else r.order_h)
             for r in rows
-        )),
-    )
-    status = 0
-    for a, b in zip(rows, rows[1:]):
-        for name in ("err_u_L1", "err_h_sup", "err_v_sup"):
-            if not getattr(b, name) < getattr(a, name):
-                _fail(f"monotone_{name}", getattr(b, name), getattr(a, name))
-                status = 1
-    return status
+        ]
+        header = ["dx", "err_u_L1", "err_h_sup", "err_v_sup", "order_u", "order_h"]
+        violations = [
+            (f"monotone_{name}", getattr(b, name), getattr(a, name))
+            for a, b in zip(rows, rows[1:])
+            for name in ("err_u_L1", "err_h_sup", "err_v_sup")
+            if not getattr(b, name) < getattr(a, name)
+        ]
+        return [("convergence.csv", header, zip(*table))], violations
+
+    return _command(out_dir, work)
 
 
 def cmd_probe_flux(cfg: ExperimentConfig, out_dir: Path) -> int:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    rows = []
-    status = 0
-    for iface_name, iface in _IFACES.items():
-        for flux_name, bulk in _FLUXES.items():
-            for v in (-1.0, 0.0, 1.0):
-                d1, d2 = dissipativity_probe(
-                    iface, bulk, cfg.scheme.lam, (-2.0, 2.0), v, 200
-                )
-                ok = min(d1, d2) >= -TAU_NUM
-                rows.append(("dissipativity", flux_name, iface_name, v, d1, d2, "pass" if ok else "fail"))
-                if not ok:
-                    _fail(f"dissipativity_{flux_name}_{iface_name}_v{v:g}", min(d1, d2), -TAU_NUM)
-                    status = 1
-    _write_csv(
-        out_dir / "probe_report.csv",
-        ["probe", "flux", "iface", "v", "worst_d1", "worst_d2", "status"],
-        zip(*rows),
-    )
-    return status
+    def work():
+        rows = []
+        for iface, bulk, v in product(InterfaceFluxKind, BulkFluxKind, (-1.0, 0.0, 1.0)):
+            d1, d2 = dissipativity_probe(iface, bulk, cfg.scheme.lam, (-2.0, 2.0), v, 200)
+            status = "pass" if min(d1, d2) >= -TAU_NUM else "fail"
+            rows.append(("dissipativity", bulk.value, iface.value, v, d1, d2, status))
+        violations = [(f"dissipativity_{flux}_{iface}_v{v:g}", min(d1, d2), -TAU_NUM)
+                      for _, flux, iface, v, d1, d2, status in rows if status == "fail"]
+        header = ["probe", "flux", "iface", "v", "worst_d1", "worst_d2", "status"]
+        return [("probe_report.csv", header, zip(*rows))], violations
+
+    return _command(out_dir, work)
 
 
 def cmd_probe_germ(cfg: ExperimentConfig, out_dir: Path) -> int:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    rng = np.random.default_rng(cfg.seed)
-    lam = cfg.scheme.lam
-    candidates = rng.uniform(-3.0 * lam, 3.0 * lam, size=(1000, 2))
-    verdicts = maximality_probe(lam, 0.0, 10_000, candidates)
-    rows = []
-    status = 0
-    for verdict in verdicts:
-        ok = verdict.consistent
-        rows.append(
-            (
-                "maximality", verdict.point[0], verdict.point[1], verdict.min_xi,
-                verdict.passes, verdict.region.value, "pass" if ok else "fail",
-            )
-        )
-        if not ok:
-            _fail("maximality_consistency", verdict.point, "criterion vs classification")
-            status = 1
-    _write_csv(
-        out_dir / "probe_report.csv",
-        ["probe", "u_minus", "u_plus", "min_xi", "passes_criterion", "region", "status"],
-        zip(*rows),
-    )
-    return status
+    def work():
+        rng = np.random.default_rng(cfg.seed)
+        lam = cfg.scheme.lam
+        candidates = rng.uniform(-3.0 * lam, 3.0 * lam, size=(1000, 2))
+        verdicts = maximality_probe(lam, 0.0, 10_000, candidates)
+        rows = [
+            ("maximality", *v.point, v.min_xi, v.passes, v.region.value,
+             "pass" if v.consistent else "fail")
+            for v in verdicts
+        ]
+        violations = [("maximality_consistency", v.point, "criterion vs classification")
+                      for v in verdicts if not v.consistent]
+        header = ["probe", "u_minus", "u_plus", "min_xi", "passes_criterion", "region", "status"]
+        return [("probe_report.csv", header, zip(*rows))], violations
+
+    return _command(out_dir, work)
+
+
+# Each subcommand: its handler and its help text.
+_COMMANDS = {
+    "run": (cmd_run, "integrate one configuration and write CSV outputs"),
+    "convergence": (cmd_convergence, "mesh-refinement study over the dx list"),
+    "probe-flux": (cmd_probe_flux, "dissipativity probe of the interface flux families"),
+    "probe-germ": (cmd_probe_germ, "entropy-pairing criterion probe on random pairs"),
+}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -363,12 +341,7 @@ def main(argv: list[str] | None = None) -> int:
         "fluid coupled to a pointwise particle.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("run", "integrate one configuration and write CSV outputs"),
-        ("convergence", "mesh-refinement study over the dx list"),
-        ("probe-flux", "dissipativity probe of the interface flux families"),
-        ("probe-germ", "entropy-pairing criterion probe on random pairs"),
-    ):
+    for name, (_, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("config", type=Path, help="path to a key = value config file")
         p.add_argument("--out", type=Path, default=Path("."), help="output directory")
@@ -383,18 +356,12 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"FAIL check=config_parse value={exc}")
         return 2
-    handler = {
-        "run": cmd_run,
-        "convergence": cmd_convergence,
-        "probe-flux": cmd_probe_flux,
-        "probe-germ": cmd_probe_germ,
-    }[args.command]
     try:
-        return handler(cfg, args.out)
+        return _COMMANDS[args.command][0](cfg, args.out)
     except BoundaryGuardError as exc:
         print(f"FAIL check=boundary_guard value={exc}")
         return 2
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:  # a ConfigError too
         print(f"FAIL check=execution value={exc}")
         return 2
 

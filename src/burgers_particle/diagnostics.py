@@ -13,7 +13,9 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from .flux import BulkFluxKind, InterfaceFluxKind, bulk_flux, interface_fluxes, lipschitz_bound
+from .flux import (
+    BulkFluxKind, InterfaceFluxKind, bulk_flux, flux_difference, interface_fluxes, lipschitz_bound,
+)
 from .germ import GermRegion, classify, dist1_to_H, in_germ
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -390,8 +392,6 @@ def entropy_residual(
     Returns the residuals of all flux-updated cells (interior cells for a
     padded grid, every cell for a periodic one).
     """
-    from .scheme import _flux_difference
-
     grid, particle = prev
     grid2, _ = next
     if grid.u.shape != grid2.u.shape or grid.dx != grid2.dx:
@@ -413,7 +413,7 @@ def entropy_residual(
 
     top, gm_top, gp_top = faces(np.maximum(u, c_arr))
     bot, gm_bot, gp_bot = faces(np.minimum(u, c_arr))
-    G = _flux_difference(top - bot, p0 - a, gm_top - gm_bot, gp_top - gp_bot)
+    G = flux_difference(top - bot, p0 - a, gm_top - gm_bot, gp_top - gp_bot)
 
     L_c = lipschitz_bound(
         cfg.bulk,

@@ -155,6 +155,17 @@ def bulk_flux(kind: BulkFluxKind, a, b, v, out=()):
     return _BULK[kind](a, b, v, _ops(a, b, v), *out)
 
 
+def flux_difference(faces: np.ndarray, k: int, fm: float, fp: float, out=None) -> np.ndarray:
+    """Right face minus left face of each cell between the faces: entry i is
+    faces[i + 1] - faces[i], except around the particle, where the interface
+    pair stands: fm is the right face of cell k, the cell left of the
+    particle, and fp the left face of cell k + 1."""
+    d = np.subtract(faces[1:], faces[:-1], out)
+    d[k] = fm - faces[k]
+    d[k + 1] = faces[k + 2] - fp
+    return d
+
+
 def interface_fluxes(kind: InterfaceFluxKind, bulk: BulkFluxKind, a, b, v, lam: float):
     """Left/right fluxes (g_minus, g_plus) at the particle interface.
 

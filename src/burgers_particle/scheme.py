@@ -26,7 +26,9 @@ from enum import Enum
 import numpy as np
 
 from .diagnostics import BoundsEnvelope, RecordBlock, bounds_envelope, make_record
-from .flux import BulkFluxKind, InterfaceFluxKind, bulk_flux, interface_fluxes, lipschitz_bound
+from .flux import (
+    BulkFluxKind, InterfaceFluxKind, bulk_flux, flux_difference, interface_fluxes, lipschitz_bound,
+)
 
 
 class Domain(Enum):
@@ -140,6 +142,8 @@ class SchemeConfig:
     half_width: float | None = None
 
     def __post_init__(self):
+        if self.half_width is not None and self.domain is not Domain.PERIODIC:
+            raise ValueError("key 'half_width' applies only to domain = periodic")
         if self.lam <= 0.0:
             raise ValueError(f"key 'lambda' (friction) must be positive, got lam={self.lam}")
         if self.mu <= 0.0:
@@ -366,7 +370,7 @@ def init_state(
     half width, which ``run`` checks against the step it takes before it
     lays the box out.  A window of more than MAX_CELLS cells, more rows than
     a snapshot file may hold, is refused before anything is allocated, and a
-    mesh whose edges are not strictly increasing before its cells are averaged.
+    mesh that floating point cannot keep uniform before its cells are averaged.
     """
     _check_start(h0, v0, dx)
     if cfg.domain is Domain.PERIODIC:
@@ -388,12 +392,16 @@ def init_state(
         n_right = max(6, math.ceil(right))
         _refuse_oversized(n_left + n_right, keys)
         j_min = 1 - n_left
+    # An edge h0 + k*dx is off by about the float spacing at the largest |edge|:
+    # at most 2**-20 of dx keeps each cell width within a few millionths of dx.
+    spacing = math.ulp(max(abs(h0 - n_left * dx), abs(h0 + n_right * dx)))
+    if not spacing <= 2.0**-20 * dx:
+        raise ValueError(
+            f"floats near the mesh edges at h0={h0!r} are {spacing!r} apart, more than 2**-20 of "
+            f"dx={dx!r}, so edges are uneven or not strictly increasing; check 'h0' and 'dx'"
+        )
     # anchor the mesh at the particle so the interface sits exactly at h0
     edges = h0 + dx * (np.arange(n_left + n_right + 1) - n_left)
-    if not (edges[1:] > edges[:-1]).all():  # dx is below the float spacing near h0
-        raise ValueError(
-            f"the mesh edges are not strictly increasing at h0={h0!r}, dx={dx!r}; check 'h0' and 'dx'"
-        )
     left_edge = float(edges[0])
     u = u0.cell_averages(edges)
     grid = FluidGrid(
@@ -420,17 +428,6 @@ def compute_dt(
             f"the particle's mass {particle.m_p!r} differs from the configured m_p {cfg.m_p!r}"
         )
     return _time_step(cfg, env, grid.dx)[0]
-
-
-def _flux_difference(faces: np.ndarray, k: int, fm: float, fp: float, out=None) -> np.ndarray:
-    """Right face minus left face of each cell between the faces: entry i is
-    faces[i + 1] - faces[i], except around the particle, where the interface
-    pair stands: fm is the right face of cell k, the cell left of the
-    particle, and fp the left face of cell k + 1."""
-    d = np.subtract(faces[1:], faces[:-1], out)
-    d[k] = fm - faces[k]
-    d[k + 1] = faces[k + 2] - fp
-    return d
 
 
 def _fluid_update(
@@ -470,7 +467,7 @@ def _fluid_update(
     m = w.shape[0] - 1  # faces
     scratch = np.empty(m), np.empty(m), np.empty(m)
     faces = bulk_flux(cfg.bulk, w[:-1], w[1:], v_flux, scratch)
-    d = _flux_difference(faces, p0 - a, fm, fp, scratch[0][:-1])
+    d = flux_difference(faces, p0 - a, fm, fp, scratch[0][:-1])
     d *= dt / grid.dx
     new = np.subtract(w[1:-1], d, out=w[1:-1])  # the new cells, in w's memory
     if grid.periodic:

@@ -67,14 +67,27 @@ values = 0, 1, 0
     assert cfg.u0.values == (0.0, 1.0, 0.0)
 
 
+def _set_line(text: str, line: str) -> str:
+    """``text`` with ``line`` in place of the line that sets the same key, or
+    with ``line`` appended when no line does."""
+    key = line.partition("=")[0].strip()
+    lines = text.splitlines()
+    same = [i for i, old in enumerate(lines) if old.partition("=")[0].strip() == key]
+    if same:
+        lines[same[0]] = line
+    else:
+        lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
 @pytest.mark.parametrize(
     "line,fragment",
     [
-        ("mu = -1", "mu"),
+        ("mu = -1", r"^key 'mu' \(mesh ratio\) must be positive"),
         ("nonsense = 3", "unknown key"),
         ("flux = upwind", "flux"),
-        ("mass = 0", "mass"),
-        ("dx = 0.1\n", "duplicate"),
+        ("mass = 0", r"^key 'mass' \(particle mass\) must be positive"),
+        ("dx = 0.1\ndx = 0.1", "line 7: duplicate key 'dx'"),
         ("snapshots = 2.0", "snapshots"),
         ("half_width = 3", "half_width"),
         ("domain = periodic", "'half_width'"),
@@ -83,20 +96,42 @@ values = 0, 1, 0
     ],
 )
 def test_parse_rejections_name_the_key(line, fragment):
+    # Each row takes the place of MINIMAL's line for its key, so a row for a
+    # key MINIMAL sets reaches that key's rule, not the duplicate-key one.
     base = MINIMAL
     if line.startswith("breakpoints"):  # a piecewise datum replaces the Riemann one
         base = base.replace("u_minus = 1\nu_plus = -1\n", "")
     with pytest.raises(ConfigError, match=fragment):
-        parse_config(base + line + "\n")
+        parse_config(_set_line(base, line))
 
 
 @pytest.mark.parametrize("key,value", [("lambda", "0"), ("mass", "-1"), ("mu", "0"), ("T", "-0.5")])
 def test_scheme_rules_are_refused_by_scheme_config_naming_the_key(key, value):
     # SchemeConfig owns these rules; the parser passes its message on.
-    lines = MINIMAL.splitlines()
-    lines = [f"{key} = {value}" if line.startswith(key + " ") else line for line in lines]
     with pytest.raises(ConfigError, match=f"^key '{key}'"):
-        parse_config("\n".join(lines) + "\n")
+        parse_config(_set_line(MINIMAL, f"{key} = {value}"))
+
+
+@pytest.mark.parametrize(
+    "key,field,kind",
+    [
+        ("flux", "bulk", BulkFluxKind),
+        ("iface", "iface", InterfaceFluxKind),
+        ("velocity_update", "velocity_update", VelocityUpdate),
+        ("domain", "domain", Domain),
+    ],
+)
+def test_parse_spells_each_choice_by_its_enum_value(key, field, kind):
+    # The config spellings are the enums' values; an unknown one is refused
+    # with exactly those values, sorted.
+    for member in kind:
+        box = "half_width = 10\n" if member is Domain.PERIODIC else ""
+        cfg = parse_config(MINIMAL + f"{key} = {member.value}\n" + box)
+        assert getattr(cfg.scheme, field) is member
+    spellings = sorted(member.value for member in kind)
+    with pytest.raises(ConfigError) as err:
+        parse_config(MINIMAL + f"{key} = nonsense\n")
+    assert str(err.value) == f"line 10: key '{key}': expected one of {spellings}, got 'nonsense'"
 
 
 def test_parse_names_the_values_key_for_a_datum_of_the_wrong_length():
@@ -110,6 +145,20 @@ def test_run_refuses_a_mesh_that_floating_point_cannot_resolve(tmp_path, capsys)
     # dx = 0.1 take a few distinct values: the cells would have no width.
     cfg_path = tmp_path / "exp.cfg"
     cfg_path.write_text(MINIMAL + "h0 = 1e17\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", str(cfg_path), "--out", str(out)]) == 2
+    fail = capsys.readouterr().out.splitlines()
+    assert len(fail) == 1 and fail[0].startswith("FAIL check=execution")
+    assert "'h0'" in fail[0] and "'dx'" in fail[0]
+    assert list(out.iterdir()) == []
+
+
+def test_run_refuses_a_mesh_that_floating_point_cannot_keep_uniform(tmp_path, capsys):
+    # Near 1e15 floats are 0.125 apart: the edges h0 + k*dx with dx = 0.2
+    # still increase, but their widths alternate between 0.125 and 0.25.
+    cfg_path = tmp_path / "exp.cfg"
+    text = MINIMAL.replace("dx = 0.1", "dx = 0.2") + "h0 = 1e15\nv0 = 0.5\n"
+    cfg_path.write_text(text, encoding="utf-8")
     out = tmp_path / "out"
     assert main(["run", str(cfg_path), "--out", str(out)]) == 2
     fail = capsys.readouterr().out.splitlines()
@@ -333,6 +382,15 @@ def test_probe_flux_reports_and_gates(tmp_path, monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "FAIL check=dissipativity_rusanov_g1-only_v0 " in out
     assert status == 1
+
+
+def test_probe_flux_report_bytes_are_pinned(tmp_path):
+    # No benchmark workload runs probe-flux, so its report's SHA-256 is
+    # pinned here, as written before the flux and family names came from
+    # the enums.
+    assert cmd_probe_flux(parse_config(MINIMAL), tmp_path) == 0
+    digest = hashlib.sha256((tmp_path / "probe_report.csv").read_bytes()).hexdigest()
+    assert digest == "3c1d7d10c51e0d2b923d225db12fc777bc0541d74f810ede401da4b84b4a05b6"
 
 
 def test_probe_germ_gate(tmp_path):

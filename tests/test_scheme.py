@@ -146,6 +146,20 @@ def test_init_refuses_a_mesh_that_floating_point_cannot_resolve():
     assert np.all(np.diff(grid.cell_edges()) > 0)
 
 
+def test_init_refuses_a_mesh_that_floating_point_cannot_keep_uniform():
+    # Near 1e15 floats are 0.125 apart: the edges h0 + k*dx with dx = 0.2
+    # still increase, but their widths alternate between 0.125 and 0.25.
+    u0 = PiecewiseConstant.riemann(1.0, -1.0, 1e15)
+    for cfg in (base_cfg(T=0.5), base_cfg(T=0.5, domain=Domain.PERIODIC, half_width=10.0)):
+        with pytest.raises(ValueError, match="'h0' and 'dx'"):
+            init_state(u0, 1e15, 0.5, cfg, 0.2)
+
+
+def test_scheme_config_refuses_a_half_width_without_a_periodic_domain():
+    with pytest.raises(ValueError, match="'half_width'"):
+        SchemeConfig(lam=1.0, mu=0.25, T=0.5, m_p=1.0, domain=Domain.PADDED, half_width=1.0)
+
+
 # ---------------------------------------------------------------- compute_dt
 
 
