@@ -93,7 +93,9 @@ def _parse_float(key: str, raw: str, line: int) -> float:
 
 
 def _parse_float_list(key: str, raw: str, line: int) -> tuple[float, ...]:
-    items = [s.strip() for s in raw.split(",") if s.strip()]
+    items = [s.strip() for s in raw.split(",")]
+    if "" in items:
+        raise ConfigError(f"line {line}: key '{key}' has an empty item in {raw!r}")
     return tuple(_parse_float(key, s, line) for s in items)
 
 
@@ -150,7 +152,7 @@ def parse_config(text: str) -> ExperimentConfig:
     if seed < 0:
         raise ConfigError(f"line {seed_line}: key 'seed' must be nonnegative, got {seed}")
 
-    snapshots = _parse_float_list("snapshots", *raw.pop("snapshots", ("", 0)))
+    snapshots = _parse_float_list("snapshots", *raw.pop("snapshots")) if "snapshots" in raw else ()
 
     has_riemann = "u_minus" in raw or "u_plus" in raw
     has_pieces = "breakpoints" in raw or "values" in raw
@@ -363,6 +365,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except ValueError as exc:  # a ConfigError too
         print(f"FAIL check=execution value={exc}")
+        return 2
+    except OSError as exc:  # the output directory or a CSV file; names the path
+        print(f"FAIL check=output_write value={exc}")
         return 2
 
 

@@ -160,10 +160,11 @@ def _exact_sum(
     n*n * 2**-52 rounds to one float at both ends and excludes 0, that float
     is the correctly rounded sum.  A row of dense data stops after its first
     pass; a row that is not decided takes further passes until its fractions
-    are all 0.  A zero sum (fsum's signed-zero rule) and a row whose scaling
-    would underflow go to ``math.fsum``.  ``extremes`` is (row maxima, row
-    minima) of a block, when the caller has them; ``scratch`` is a free array
-    of x's shape to work in.
+    are all 0.  An exact sum of 0 is +0.0, as ``math.fsum`` returns it
+    whatever the signs of its zero terms; a row whose scaling would underflow
+    goes to ``math.fsum``.  ``extremes`` is (row maxima, row minima) of a
+    block, when the caller has them; ``scratch`` is a free array of x's shape
+    to work in.
     """
     if x.ndim == 1:
         return _exact_sum(x[None], [tails])[0]
@@ -201,8 +202,8 @@ def _exact_sum(
             r = None if i in lossy else _rounded(totals[i], shifts[i], tails[i], f, more * n * n)
             if r is None and more and i not in lossy:
                 undecided.append(j)
-            else:  # fsum for a lossy row and for an exact sum of 0
-                out[i] = _fsum(x[i], tails[i]) if r is None else r
+            else:  # fsum for a lossy row; an exact sum of 0 is +0.0, as fsum returns it
+                out[i] = _fsum(x[i], tails[i]) if i in lossy else (0.0 if r is None else r)
         if not undecided:
             return out
         if len(undecided) < len(rows):

@@ -26,8 +26,8 @@ view).  The kernel's operations are numpy's ufuncs, each writing into an
 operations in Python's float arithmetic, which cost a fraction of numpy's
 on 0-d values.  So a float call returns the bits of the same state in an
 array call, and an array call given buffers allocates nothing.  A time step
-makes one array call and one interface pair, or in an implicit step about
-four from the velocity solve.
+makes one array call, or a float call per face on a few padded cells, and
+one interface pair, or in an implicit step one or more from the velocity solve.
 """
 
 from __future__ import annotations

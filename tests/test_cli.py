@@ -1,6 +1,7 @@
 import hashlib
 import importlib.util
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -103,6 +104,26 @@ def test_parse_rejections_name_the_key(line, fragment):
         base = base.replace("u_minus = 1\nu_plus = -1\n", "")
     with pytest.raises(ConfigError, match=fragment):
         parse_config(_set_line(base, line))
+
+
+@pytest.mark.parametrize(
+    "line,fragment",
+    [
+        ("dx = 0.1,,0.05", "line 6: key 'dx' has an empty item in '0.1,,0.05'"),
+        ("dx = 0.1,", "line 6: key 'dx' has an empty item in '0.1,'"),
+        ("snapshots = ,", "line 10: key 'snapshots' has an empty item in ','"),
+        ("snapshots = 0.1, , 0.2", "line 10: key 'snapshots' has an empty item in '0.1, , 0.2'"),
+    ],
+)
+def test_parse_refuses_an_empty_list_item_naming_the_key(line, fragment):
+    # An empty item is refused, not dropped: '0.1,,0.05' is not two levels.
+    with pytest.raises(ConfigError, match=f"^{re.escape(fragment)}$"):
+        parse_config(_set_line(MINIMAL, line))
+
+
+def test_parse_reads_an_absent_snapshots_key_as_no_snapshots():
+    assert parse_config(MINIMAL).snapshot_times == ()
+    assert parse_config(MINIMAL + "snapshots = 0.25, 0.5\n").snapshot_times == (0.25, 0.5)
 
 
 @pytest.mark.parametrize("key,value", [("lambda", "0"), ("mass", "-1"), ("mu", "0"), ("T", "-0.5")])
@@ -444,6 +465,26 @@ def test_main_exit_codes(tmp_path, capsys):
     rising.write_text(MINIMAL.replace("dx = 0.1", "dx = 0.05, 0.1, 0.2"), encoding="utf-8")
     assert main(["convergence", str(rising), "--out", str(tmp_path / "out")]) == 2
     assert "'dx'" in capsys.readouterr().out.splitlines()[-1]
+
+
+@pytest.mark.parametrize("command", ["run", "convergence"])
+def test_an_output_path_that_cannot_be_written_exits_2_naming_it(command, tmp_path, capsys):
+    # --out names an existing file, or a directory whose CSV name is taken
+    # by a directory: one FAIL line naming the path, exit 2 (exit 1 is a
+    # failed gate), and no traceback.
+    cfg_path = tmp_path / "exp.cfg"
+    dx = "dx = 0.1, 0.05, 0.025" if command == "convergence" else "dx = 0.1"
+    cfg_path.write_text(_set_line(MINIMAL, dx), encoding="utf-8")
+    taken = tmp_path / "taken"
+    taken.write_text("", encoding="utf-8")
+    name = "convergence.csv" if command == "convergence" else "particle.csv"
+    blocked = tmp_path / "blocked"
+    (blocked / name).mkdir(parents=True)
+    for out, path in ((taken, taken), (blocked, blocked / name)):
+        assert main([command, str(cfg_path), "--out", str(out)]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("FAIL check=output_write value=")
+        assert str(path) in lines[0]
 
 
 def test_implicit_run_at_a_velocity_near_1000_finishes(tmp_path):

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -232,7 +233,7 @@ _H = 2.0**-53  # half an ulp of 1.0
         ([_H, 1.0, -(2.0**-150)], 3, None),
         ([1.0, _H, 2.0**-200, 2.0**-260 - 2.0**-200], 3, None),
         ([1.0, -1.0, 1e-300], 3, None),  # cancels, then a tiny remainder
-        ([0.5, -0.25, -0.25, -0.0], 1, 1),  # exact after one pass: 0, from fsum
+        ([0.5, -0.25, -0.25, -0.0], 1, 1),  # exact after one pass: 0, as +0.0
         ([-0.0, -0.0], 1, 1),
     ],
 )
@@ -266,6 +267,75 @@ def test_exact_sum_of_a_block_of_decided_undecided_and_lossy_rows(passes):
     assert [r.hex() for r in got] == [e.hex() for e in _fsum_rows(rows.tolist(), tails)]
     assert passes[id(tails[0])] == 1 and passes[id(tails[1])] > 1
     assert id(tails[3]) not in passes  # the lossy row goes to fsum
+
+
+# Values that no row scaling flushes: zeros and magnitudes in [1e-100, 1e100].
+_unflushed = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.1, 2.0**52 + 1]),
+    st.floats(-1e100, 1e100).filter(lambda x: x == 0.0 or abs(x) >= 1e-100),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    pool=st.lists(_unflushed, min_size=1, max_size=6),
+    n=st.integers(0, 700),
+    seed=st.integers(0, 2**32 - 1),
+    tails=st.lists(st.tuples(st.integers(0, 20_000), _unflushed), max_size=2),
+    negative_zeros=st.booleans(),
+)
+@example(pool=[-0.0], n=3, seed=0, tails=[(5, -0.0)], negative_zeros=True)
+def test_a_row_that_sums_to_exactly_zero_is_fsums_zero_without_fsum(
+    pool, n, seed, tails, negative_zeros
+):
+    # Mirrored cells with tails of k copies of c and of -c, or cells and
+    # tails of -0.0 only: the exact total is 0, which fsum returns as +0.0,
+    # and _exact_sum gives it without calling _fsum, alone and in a block.
+    x = np.random.default_rng(seed).choice(np.array(pool), n)
+    row = np.concatenate([x, -x[::-1]])
+    tails = tails + [(k, -c) for k, c in tails]
+    if negative_zeros:
+        row, tails = np.full(2 * n, -0.0), [(k, -0.0) for k, _ in tails]
+    terms = row.tolist() + [c for k, c in tails for _ in range(k)]
+    expected = math.fsum(terms).hex()
+    with mock.patch.object(diagnostics, "_fsum") as fsum:
+        one = _exact_sum(row, tails)
+        block = _exact_sum(np.stack([row, np.ones_like(row), row]), [tails, (), tails])
+    fsum.assert_not_called()
+    assert one.hex() == expected == (0.0).hex()
+    assert [block[0].hex(), block[2].hex()] == [expected] * 2
+
+
+def test_an_exact_zero_block_calls_fsum_for_its_lossy_row_only():
+    # Rows that cancel to 0 beside a row whose scaling would flush 5e-324:
+    # only that row goes to _fsum.
+    rows = np.zeros((3, 4))
+    rows[0] = 0.5, -0.25, -0.25, -0.0
+    rows[1, :3] = 2.0**1000, 2.0**947, 5e-324
+    rows[2] = -0.0
+    tails = [((2, 0.25), (1, -0.5)), (), ((3, -0.0),)]
+    with mock.patch.object(diagnostics, "_fsum", wraps=diagnostics._fsum) as fsum:
+        got = _exact_sum(rows, tails)
+    assert [r.hex() for r in got] == [e.hex() for e in _fsum_rows(rows.tolist(), tails)]
+    assert fsum.call_count == 1 and fsum.call_args.args[0].tolist() == rows[1].tolist()
+
+
+def test_the_record_of_a_one_minus_one_window_sums_without_fsum():
+    # implicit-light's static 1 | -1 pair: the window sums to exactly 0, and
+    # the record's momentum has the bits of fsum over every cell.
+    u0 = PiecewiseConstant.riemann(1.0, -1.0, 0.0)
+    cfg = SchemeConfig(lam=1.0, mu=0.5, T=1.0, m_p=0.002)
+    grid, part = init_state(u0, 0.0, 0.5, cfg, 0.005)
+    assert math.fsum(grid.u.tolist()) == 0.0
+    block = diagnostics.RecordBlock(grid)
+    for _ in range(3):
+        block.add(grid, part)
+    with mock.patch.object(diagnostics, "_fsum") as fsum:
+        momentum = diagnostics.make_record(block, cfg.lam)[0]
+        alone = total_momentum(grid, part)
+    fsum.assert_not_called()
+    expected = part.m_p * part.v + grid.dx * math.fsum(grid.u.tolist())
+    assert [m.hex() for m in momentum + [alone]] == [expected.hex()] * 4
 
 
 _near_tie = st.floats(1.0, 2.0, exclude_max=True)

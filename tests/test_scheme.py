@@ -455,6 +455,61 @@ def test_a_periodic_step_with_the_particle_at_either_end_of_the_box(
     assert _bits(p.v) == _bits(v_ref) and g.leak == 0.0
 
 
+_SMALL = scheme.FLOAT_UPDATE_CELLS  # most updated cells of the float update
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    active=st.lists(_guard_values, min_size=2, max_size=_SMALL + 3),
+    first=_guard_values,
+    last=_guard_values,
+    at=st.integers(0, 20),
+    sides=st.tuples(st.integers(2, 5), st.integers(2, 5)),
+    v=_guard_values,
+    m_p=st.floats(0.01, 10.0),
+    bulk=st.sampled_from(BULKS),
+    iface=st.sampled_from(IFACES),
+    update=st.sampled_from(list(VelocityUpdate)),
+)
+@example(  # the widest float update, and one cell more: the array update
+    active=[0.25 * i - 1.0 for i in range(_SMALL - 2)], first=1.0, last=-1.5, at=1, sides=(4, 4),
+    v=0.5, m_p=0.5, bulk=BulkFluxKind.GODUNOV, iface=InterfaceFluxKind.MAX_GERM,
+    update=VelocityUpdate.IMPLICIT,
+)
+@example(
+    active=[0.25 * i - 1.0 for i in range(_SMALL - 1)], first=1.0, last=-1.5, at=1, sides=(4, 4),
+    v=0.5, m_p=0.5, bulk=BulkFluxKind.GODUNOV, iface=InterfaceFluxKind.MAX_GERM,
+    update=VelocityUpdate.IMPLICIT,
+)
+@example(  # implicit-light's static pair, one cell short of the guard on the right
+    active=[1.0, -1.0], first=1.0, last=-1.0, at=0, sides=(3, 2), v=0.5, m_p=0.002,
+    bulk=BulkFluxKind.GODUNOV, iface=InterfaceFluxKind.MAX_GERM, update=VelocityUpdate.IMPLICIT,
+)
+def test_a_small_padded_step_has_the_bits_of_the_loop_reference(
+    active, first, last, at, sides, v, m_p, bulk, iface, update
+):
+    # Active ranges from the two particle cells to a few cells past the
+    # float update's limit, with two to five far-field cells a side: a step
+    # raises BoundaryGuardError when the grid before or after it keeps fewer
+    # than three far-field cells a side, and otherwise matches the
+    # whole-window loop, leak and velocity included, hex for hex.
+    p0 = sides[0] + at % (len(active) - 1)
+    u = np.array([first] * sides[0] + active + [last] * sides[1])
+    grid = FluidGrid(u=u, dx=0.1, left_edge=-0.1 * (p0 + 1), j_min=-p0)
+    part = ParticleState(h=0.0, v=v, m_p=m_p)
+    cfg = base_cfg(m_p=m_p, bulk=bulk, iface=iface, velocity_update=update)
+    advance = step if update is VelocityUpdate.EXPLICIT else step_implicit
+    u_ref, v_ref, leak_ref = _loop_reference_step(grid, part, cfg, 0.01)
+    ref = FluidGrid(u=u_ref, dx=grid.dx, left_edge=grid.left_edge, j_min=grid.j_min)
+    if min(grid.lo, ref.lo) < 3 or max(grid.hi, ref.hi) > grid.n - 3:
+        with pytest.raises(BoundaryGuardError):
+            advance(grid, part, cfg, 0.01)
+        return
+    g, p = advance(grid, part, cfg, 0.01)
+    assert g.u.tobytes() == u_ref.tobytes() and (g.lo, g.hi) == (ref.lo, ref.hi)
+    assert _bits(g.leak) == _bits(leak_ref) and _bits(p.v) == _bits(v_ref)
+
+
 def test_a_padded_step_allocates_its_active_cells_not_its_window():
     # The mass-bound compact datum lays out 74482 cells, 70 of them active.
     # A step stores and updates only the active cells, so its peak allocation
@@ -1004,6 +1059,60 @@ def test_implicit_solve_brackets_and_ends_at_its_rounding_bound(monkeypatch):
                     if abs(r) > bound:  # collapsed: w is the better of two adjacent ends
                         r_next = resid(math.nextafter(w, hi if r < 0.0 else lo))[0]
                         assert r_next * r < 0.0 and abs(r) <= abs(r_next)
+
+
+def _count_interface_fluxes(monkeypatch):
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return interface_fluxes(*args)
+
+    monkeypatch.setattr(scheme, "interface_fluxes", counted)
+    return calls
+
+
+def test_implicit_solve_makes_fewer_calls_on_the_mean_than_from_the_bracket_ends(monkeypatch):
+    # The 1200 random cases of the bracket test above, drawn the same way:
+    # the solve that evaluated both bracket ends first made 10147 calls on
+    # them (8.46 a solve).  Starting at v^n must not make more in total.
+    calls = _count_interface_fluxes(monkeypatch)
+    rng = np.random.default_rng(0)
+    for bulk in BULKS:
+        for iface in IFACES:
+            for centre in (0.0, 1.0, 1e3, 1e6):
+                for _ in range(50):
+                    lam, m_p, dt = (10.0 ** rng.uniform([-1, -8, -6], [1, 2, 0])).tolist()
+                    u0, u1, v = (centre * rng.choice([-1, 1]) + rng.uniform(-3, 3, 3)).tolist()
+                    cfg = base_cfg(lam=lam, m_p=m_p, bulk=bulk, iface=iface)
+                    scheme._solve_implicit_velocity(
+                        u0, u1, ParticleState(h=0.0, v=v, m_p=m_p), cfg, dt
+                    )
+    assert calls[0] <= 10147
+
+
+def test_an_implicit_step_at_equilibrium_makes_one_flux_call(monkeypatch):
+    # A state at rest (r(v^n) = 0 exactly), and implicit-light's static
+    # 1 | -1 pair once its light particle has reached equilibrium with the
+    # traces: each solve evaluates r(v^n), finds it within its rounding
+    # bound, and returns v^n with that interface pair, which the step reuses.
+    calls = _count_interface_fluxes(monkeypatch)
+    cfg = base_cfg(velocity_update=VelocityUpdate.IMPLICIT)
+    w = scheme._solve_implicit_velocity(0.3, 0.3, ParticleState(h=0.0, v=0.3, m_p=1.0), cfg, 0.01)
+    assert w[0] == 0.3
+    assert calls[0] == 1
+    u0 = PiecewiseConstant.riemann(1.0, -1.0, 0.0)
+    cfg = base_cfg(mu=0.5, m_p=0.002, velocity_update=VelocityUpdate.IMPLICIT)
+    grid, part = init_state(u0, 0.0, 0.5, cfg, 0.005)
+    dt = compute_dt(grid, part, cfg, bounds_envelope(u0, 0.5, 1.0))
+    for _ in range(100):
+        grid, part = step_implicit(grid, part, cfg, dt)
+    for _ in range(5):
+        calls[0] = 0
+        g, p = step_implicit(grid, part, cfg, dt)
+        assert calls[0] == 1 and p.v == part.v
+        assert g.cells.tolist() == grid.cells.tolist() == [1.0, -1.0]
+        grid, part = g, p
 
 
 def test_implicit_light_particle_stays_bounded():
