@@ -350,8 +350,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         text = args.config.read_text(encoding="utf-8")
-    except OSError as exc:
+    except OSError as exc:  # names the path
         print(f"FAIL check=config_read value={exc}")
+        return 2
+    except UnicodeDecodeError as exc:
+        print(f"FAIL check=config_read value={args.config}: {exc}")
         return 2
     try:
         cfg = parse_config(text)

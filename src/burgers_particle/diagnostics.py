@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -135,16 +135,12 @@ def _rounded(total: int, shift: int, tails, frac: float, err: int) -> float | No
     return low if low == (mid + half) / unit else None
 
 
-def _exact_sum(
-    x: np.ndarray, tails: Sequence = (), extremes=None, scratch=None
-) -> float | list[float]:
-    """Correctly rounded row sums: the bits of ``math.fsum`` over the same
-    terms.
-
-    ``x`` is one row (1-D; ``tails`` is a sequence of (k, c) pairs and the
-    result a float) or a block of rows (2-D; ``tails`` holds one such
-    sequence per row and the result a list).  A row sums to sum(row) +
-    sum(k * c for k, c in its tails).
+def _exact_sum(x: np.ndarray, tails: Sequence, extremes, scratch: np.ndarray) -> list[float]:
+    """Correctly rounded sums of the rows of a block ``x`` (k x n, n >= 1):
+    the bits of ``math.fsum`` over the same terms.  ``tails`` holds one
+    sequence of (count, c) pairs per row, and a row sums to sum(row) +
+    sum(count * c for its pairs).  ``extremes`` is (row maxima, row minima);
+    ``scratch`` is a free array of x's shape to work in.
 
     Error-free extraction (Rump, Ogita and Oishi, SISC 2008), row by row:
     each row is scaled by its own power of two 2**s so that every |x| < 2**b
@@ -162,16 +158,10 @@ def _exact_sum(
     pass; a row that is not decided takes further passes until its fractions
     are all 0.  An exact sum of 0 is +0.0, as ``math.fsum`` returns it
     whatever the signs of its zero terms; a row whose scaling would underflow
-    goes to ``math.fsum``.  ``extremes`` is (row maxima, row minima) of a
-    block, when the caller has them; ``scratch`` is a free array of x's shape
-    to work in.
+    goes to ``math.fsum``.
     """
-    if x.ndim == 1:
-        return _exact_sum(x[None], [tails])[0]
     k, n = x.shape
-    if n == 0:
-        x, n = np.zeros((k, 1)), 1
-    top, bottom = extremes if extremes is not None else (x.max(axis=1), x.min(axis=1))
+    top, bottom = extremes
     b = 53 - n.bit_length()
     # 2**1023 is the largest finite factor; a smaller shift keeps |x| < 2**b
     shifts = [
@@ -184,13 +174,12 @@ def _exact_sum(
         down = [i for i, si in enumerate(shifts) if si < 0]
         lost = (y[down] / factors[down] != x[down]).any(axis=1)
         lossy = {i for i, bad in zip(down, lost.tolist()) if bad}
-    whole = np.empty_like(y) if scratch is None else scratch
     scale = float(1 << b)
     rows, totals, out = list(range(k)), [0] * k, [0.0] * k
     while True:
         # integer and fractional parts, as np.modf splits them but faster;
         # the subtraction is exact
-        part = whole[: len(rows)]
+        part = scratch[: len(rows)]
         np.trunc(y, out=part)
         y -= part
         fracs = y.sum(axis=1).tolist()
@@ -214,14 +203,9 @@ def _exact_sum(
 
 
 def total_momentum(grid: "FluidGrid", particle: "ParticleState") -> float:
-    """m_p * v + dx * sum(u), with the cells summed exactly.
-
-    The constant tails outside the active range enter as their exact sums
-    k * c, so the correctly rounded sum has the bits ``math.fsum`` gives
-    over every cell.
-    """
-    tails = ((grid.lo, grid.first), (grid.n - grid.hi, grid.last))
-    return particle.m_p * particle.v + grid.dx * _exact_sum(grid.cells, tails)
+    """m_p * v + dx * sum(u), the cells summed by ``math.fsum``: the
+    definition that ``make_record``'s momentum reproduces bit for bit."""
+    return particle.m_p * particle.v + grid.dx * math.fsum(grid.u.tolist())
 
 
 # numpy's sum of a float64 row is a pairwise tree (pairwise_sum in numpy's
@@ -277,14 +261,15 @@ def _variation_cells(n: int, lo: int, hi: int) -> tuple[int, int]:
     return a, b
 
 
-def _variation(cells: np.ndarray, a: int, n: int, periodic: bool, scratch=None) -> np.ndarray:
+def _variation(
+    cells: np.ndarray, a: int, n: int, periodic: bool, scratch: np.ndarray
+) -> np.ndarray:
     """Total variation of each row of ``cells``, the cells ``_variation_cells``
-    names of windows of n cells, with the bits of ``np.sum`` over the whole
-    window, plus the wrap interface of a periodic box.  The differences go
-    to ``scratch``, a free array of cells' shape, when given."""
+    names of windows of n cells, with the bits of ``total_variation`` over
+    the whole window.  The differences go to ``scratch``, a free array of
+    cells' shape."""
     k, w = cells.shape
-    if scratch is not None:
-        scratch = scratch.reshape(-1)[: k * (w - 1)].reshape(k, w - 1)
+    scratch = scratch.reshape(-1)[: k * (w - 1)].reshape(k, w - 1)
     terms = np.subtract(cells[:, 1:], cells[:, :-1], out=scratch)  # np.diff, without its overhead
     tv = _pairwise_sum(np.abs(terms, out=terms), a, 0, n - 1)
     if periodic:
@@ -293,9 +278,12 @@ def _variation(cells: np.ndarray, a: int, n: int, periodic: bool, scratch=None) 
 
 
 def total_variation(grid: "FluidGrid") -> float:
-    """Sum of |u_j - u_{j-1}| over interfaces (including the periodic wrap)."""
-    a, b = _variation_cells(grid.n, grid.lo, grid.hi)
-    return float(_variation(grid.u[None, a:b], a, grid.n, grid.periodic)[0])
+    """Sum of |u_j - u_{j-1}| over interfaces, by ``np.sum``, plus the wrap
+    interface of a periodic box: the definition that ``make_record``'s
+    variation reproduces bit for bit."""
+    u = grid.u
+    tv = float(np.abs(np.diff(u)).sum())
+    return tv + abs(float(u[0]) - float(u[-1])) if grid.periodic else tv
 
 
 # Cell values in the row matrix of one ``make_record`` call: 128 KiB of
@@ -309,28 +297,22 @@ RECORD_BLOCK_CELLS = 1 << 14
 
 
 class RecordBlock:
-    """Consecutive states of one run waiting for ``make_record``: each
-    state's active cells and the scalars its record needs."""
+    """Consecutive states of one run waiting for ``make_record``, as the
+    (grid, particle) pairs themselves: no step changes a grid's cells in
+    place."""
 
     def __init__(self, grid: "FluidGrid"):
         self.n, self.dx, self.periodic = grid.n, grid.dx, grid.periodic
-        self.states: list[tuple] = []
+        self.states: list[tuple["FluidGrid", "ParticleState"]] = []
         self.lo, self.hi = grid.n, 0  # union of the active ranges
 
     def add(self, grid: "FluidGrid", particle: "ParticleState") -> bool:
         """Add a state.  True when the block is full: one more state as
         wide as the union of the active ranges would take the row matrix, at
         most two leaves wider than that union, past RECORD_BLOCK_CELLS
-        values.
-
-        The block keeps the grid's own cells, no copy: no step changes a
-        grid's cells in place."""
-        cells, lo, hi, k = grid.cells, grid.lo, grid.hi, grid.particle_index - grid.lo
-        self.states.append((
-            cells, lo, hi, grid.first, grid.last, float(cells[k]), float(cells[k + 1]),
-            particle.v, particle.m_p * particle.v,
-        ))
-        self.lo, self.hi = min(self.lo, lo), max(self.hi, hi)
+        values."""
+        self.states.append((grid, particle))
+        self.lo, self.hi = min(self.lo, grid.lo), max(self.hi, grid.hi)
         width = self.hi - self.lo + 2 * _LEAF
         return (len(self.states) + 1) * width > RECORD_BLOCK_CELLS
 
@@ -343,29 +325,32 @@ def make_record(block: RecordBlock, lam: float) -> tuple[list[float], ...]:
     The states' cells are laid out as rows over the union of their active
     ranges, widened to the leaves ``total_variation`` reads; a row holds its
     window's cells there, far-field values included, and every cell outside
-    equals the row's far-field value on that side.
+    equals the row's far-field value on that side.  The particle cells are
+    inside every active range, so the traces are read from the rows.
     """
     n = block.n
     a, b = _variation_cells(n, block.lo, block.hi)
-    cells, lo, hi, first, last, u_p0, u_p1, v, mv = zip(*block.states)
-    if len(cells) == 1 and cells[0].shape[0] == b - a:
-        rows = cells[0][None]  # one state whose active cells are the rows
+    grids, particles = zip(*block.states)
+    if len(grids) == 1 and grids[0].cells.shape[0] == b - a:
+        rows = grids[0].cells[None]  # one state whose active cells are the rows
     else:
-        rows = np.empty((len(cells), b - a))
-        for row, c, l, h, f, z in zip(rows, cells, lo, hi, first, last):
-            row[: l - a] = f
-            row[l - a : h - a] = c
-            row[h - a :] = z
-    tails = [((a, f), (n - b, z)) for f, z in zip(first, last)]
+        rows = np.empty((len(grids), b - a))
+        for row, g in zip(rows, grids):
+            row[: g.lo - a] = g.first
+            row[g.lo - a : g.hi - a] = g.cells
+            row[g.hi - a :] = g.last
+    tails = [((a, g.first), (n - b, g.last)) for g in grids]
     u_min, u_max = rows.min(axis=1), rows.max(axis=1)
     scratch = np.empty_like(rows)
     sums = _exact_sum(rows, tails, (u_max, u_min), scratch)
+    k = grids[0].particle_index - a  # the grids of a run share their mesh
+    traces = rows[:, k : k + 2].tolist()
     return (
-        [m + block.dx * s for m, s in zip(mv, sums)],
+        [p.m_p * p.v + block.dx * s for p, s in zip(particles, sums)],
         _variation(rows, a, n, block.periodic, scratch).tolist(),
         u_min.tolist(),
         u_max.tolist(),
-        [dist1_to_H((p, q), w, lam) for p, q, w in zip(u_p0, u_p1, v)],
+        [dist1_to_H(pair, p.v, lam) for pair, p in zip(traces, particles)],
     )
 
 
@@ -442,25 +427,20 @@ def dissipativity_probe(
     box: tuple[float, float],
     v: float,
     n: int,
-    difference_fn: Callable | None = None,
 ) -> tuple[float, float]:
     """Worst negative forward difference of g_minus - g_plus over a state grid.
 
     Samples an n x n grid over ``box`` (applied to both trace arguments) and
     returns the most negative forward difference in each argument, 0.0 when
-    none is negative.  ``difference_fn`` replaces the flux difference for
-    probe self-checks.
+    none is negative.
     """
     if n < 2:
         raise ValueError(f"need at least a 2x2 grid, got n={n}")
     lo, hi = box
     a = np.linspace(lo, hi, n)
     A, B = np.meshgrid(a, a, indexing="ij")
-    if difference_fn is not None:
-        D = difference_fn(A, B)
-    else:
-        gm, gp = interface_fluxes(iface, bulk, A, B, v, lam)
-        D = gm - gp
+    gm, gp = interface_fluxes(iface, bulk, A, B, v, lam)
+    D = gm - gp
     d1 = np.diff(D, axis=0)
     d2 = np.diff(D, axis=1)
     return min(0.0, float(d1.min())), min(0.0, float(d2.min()))

@@ -315,7 +315,10 @@ def _time_step(cfg: SchemeConfig, env: BoundsEnvelope, dx: float) -> tuple[float
     else:
         L = lipschitz_bound(cfg.bulk, env.m, env.M, env.v_lo, env.v_hi, cfg.lam)
         if not math.isfinite(L):
-            raise ValueError("non-finite Lipschitz bound")
+            raise ValueError(
+                "the flux Lipschitz bound is not finite; check 'lambda', 'v0' and the datum "
+                "('u_minus'/'u_plus' or 'values')"
+            )
         ratio = cfg.mu if L == 0.0 else min(cfg.mu, 0.5 / L)
         dt, key = ratio * dx, "'mu'"
         if cfg.velocity_update is VelocityUpdate.EXPLICIT and L > 0.0:

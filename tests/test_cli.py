@@ -241,6 +241,38 @@ def test_non_finite_values_exit_2_naming_the_key(key, value, tmp_path, capsys):
     assert len(fail) == 1 and f"'{key}'" in fail[0]
 
 
+@pytest.mark.parametrize(
+    "replace,add",
+    [
+        ("lambda = 1", "lambda = 1e308"),
+        ("u_minus = 1\nu_plus = -1", "breakpoints = 0\nvalues = 1.7e308, -1.7e308"),
+    ],
+    ids=["lambda", "values"],
+)
+def test_an_overflowing_flux_bound_exits_2_naming_the_keys(replace, add, tmp_path, capsys):
+    # Each value is finite, but the flux Lipschitz bound of the invariant
+    # region they span overflows: the refusal names the keys it reads.
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(MINIMAL.replace(replace, add), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", str(cfg_path), "--out", str(out)]) == 2
+    fail = capsys.readouterr().out.splitlines()
+    assert len(fail) == 1 and fail[0].startswith("FAIL check=execution")
+    assert all(key in fail[0] for key in ("'lambda'", "'v0'", "'u_minus'", "'values'"))
+    assert list(out.iterdir()) == []
+
+
+def test_a_config_that_is_not_utf8_exits_2_naming_the_file(tmp_path, capsys):
+    # A byte that is not UTF-8, even inside a comment, is a read failure of
+    # the named file, not a traceback.
+    cfg_path = tmp_path / "latin1.cfg"
+    cfg_path.write_bytes(MINIMAL.encode("utf-8") + b"# caf\xe9\n")
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    fail = capsys.readouterr().out.splitlines()
+    assert len(fail) == 1 and fail[0].startswith(f"FAIL check=config_read value={cfg_path}: ")
+    assert not (tmp_path / "out").exists()
+
+
 def test_negative_seed_exits_2_naming_the_key(tmp_path, capsys):
     cfg_path = tmp_path / "exp.cfg"
     cfg_path.write_text(MINIMAL + "seed = -1\n", encoding="utf-8")

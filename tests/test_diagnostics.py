@@ -78,6 +78,13 @@ def test_total_momentum_examples():
     assert total_momentum(grid, ParticleState(h=0, v=0.5, m_p=2.0)) == 2.0
 
 
+def _record(grid, particle):
+    """make_record's columns for a block of the one state."""
+    block = diagnostics.RecordBlock(grid)
+    block.add(grid, particle)
+    return diagnostics.make_record(block, 1.0)
+
+
 _values = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 
 
@@ -95,13 +102,28 @@ _values = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 def test_total_momentum_with_tails_is_bit_exact(
     c_left, c_right, k_left, k_right, middle, v, m_p, dx
 ):
-    # Long constant tails enter the sum as their exact totals k*c, so the
-    # result has the bits of fsum over every cell.
+    # Long constant tails enter the record's sum as their exact totals k*c,
+    # so the record has the bits of total_momentum, fsum over every cell.
     u = np.concatenate([np.full(k_left, c_left), middle, np.full(k_right, c_right)])
     grid = FluidGrid(u=u, dx=dx, left_edge=0.0, j_min=-k_left)
     particle = ParticleState(h=0.0, v=v, m_p=m_p)
     expected = m_p * v + dx * math.fsum(u.tolist())
     assert total_momentum(grid, particle).hex() == expected.hex()
+    assert _record(grid, particle)[0][0].hex() == expected.hex()
+
+
+def _sums(x, tails=()):
+    """``_exact_sum`` through its one block form.  A 1-D ``x`` is one row
+    whose ``tails`` are its (k, c) pairs, and gives a float; a 2-D ``x``
+    takes one tails sequence per row and gives a list.  A record row is
+    never empty: a row of no terms here stands for its tails alone, as one
+    0.0 term, which changes no sum."""
+    block, per_row = (x[None], [tails]) if x.ndim == 1 else (x, tails)
+    if block.shape[1] == 0:
+        block = np.zeros((block.shape[0], 1))
+    extremes = (block.max(axis=1), block.min(axis=1))
+    sums = _exact_sum(block, per_row, extremes, np.empty_like(block))
+    return sums[0] if x.ndim == 1 else sums
 
 
 _SPECIAL = [
@@ -136,7 +158,7 @@ def test_exact_sum_has_the_bits_of_fsum(pool, n, seed, mirror, tails):
     terms = x.tolist()
     for k, c in tails:
         terms += [c] * k
-    assert _exact_sum(x, tails).hex() == math.fsum(terms).hex()
+    assert _sums(x, tails).hex() == math.fsum(terms).hex()
 
 
 @pytest.mark.parametrize("tiny", [5e-324, 1e-300, -1e-300])
@@ -146,7 +168,7 @@ def test_exact_sum_keeps_terms_that_scaling_would_flush(tiny):
     # range must not flush it to zero.
     x = np.zeros(1200)
     x[:3] = 2.0**1000, 2.0**947, tiny
-    assert _exact_sum(x).hex() == math.fsum(x.tolist()).hex()
+    assert _sums(x).hex() == math.fsum(x.tolist()).hex()
 
 
 @settings(max_examples=150, deadline=None)
@@ -176,7 +198,7 @@ def test_exact_sum_of_a_block_has_the_bits_of_fsum_per_row(widths, pool, seed, m
         row[: len(x)] = x
     tails = tails[: len(terms)]
     expected = [math.fsum(x + [c for k, c in t for _ in range(k)]) for x, t in zip(terms, tails)]
-    assert [r.hex() for r in _exact_sum(block, tails)] == [e.hex() for e in expected]
+    assert [r.hex() for r in _sums(block, tails)] == [e.hex() for e in expected]
 
 
 def test_exact_sum_of_a_block_with_an_underflowing_row():
@@ -193,9 +215,7 @@ def test_exact_sum_of_a_block_with_an_underflowing_row():
         math.fsum(row.tolist() + [c for k, c in t for _ in range(k)])
         for row, t in zip(rows, tails)
     ]
-    assert [r.hex() for r in _exact_sum(rows, tails)] == [e.hex() for e in expected]
-    empty = np.zeros((2, 0))
-    assert _exact_sum(empty, [((3, 0.1),), ()]) == [math.fsum([0.1] * 3), 0.0]
+    assert [r.hex() for r in _sums(rows, tails)] == [e.hex() for e in expected]
 
 
 def _fsum_rows(rows, tails):
@@ -239,7 +259,7 @@ _H = 2.0**-53  # half an ulp of 1.0
 )
 def test_exact_sum_stops_once_its_rounding_is_decided(passes, row, least, most):
     tails = ()
-    assert _exact_sum(np.array(row), tails).hex() == math.fsum(row).hex()
+    assert _sums(np.array(row), tails).hex() == math.fsum(row).hex()
     assert least <= passes[id(tails)] <= (most or math.inf)
 
 
@@ -247,7 +267,7 @@ def test_exact_sum_of_dense_data_takes_one_pass(passes):
     # a row like a periodic-dense state: its first pass decides it
     row = np.random.default_rng(0).uniform(-0.5, 0.5, 12_000)
     tails = ((0, 0.25), (0, -0.1))
-    assert _exact_sum(row, tails).hex() == math.fsum(row.tolist()).hex()
+    assert _sums(row, tails).hex() == math.fsum(row.tolist()).hex()
     assert passes[id(tails)] == 1
 
 
@@ -263,7 +283,7 @@ def test_exact_sum_of_a_block_of_decided_undecided_and_lossy_rows(passes):
     rows[3, :3] = 2.0**1000, 2.0**947, 5e-324
     rows[4, :2] = 3.0, 2.0**-30
     tails = [((7, 0.1), (3, -0.1)), ((2, 0.25),), ((2, 0.25), (1, -0.5)), ((4, 1e-300),), ((9, 0.5),)]
-    got = _exact_sum(rows, tails)
+    got = _sums(rows, tails)
     assert [r.hex() for r in got] == [e.hex() for e in _fsum_rows(rows.tolist(), tails)]
     assert passes[id(tails[0])] == 1 and passes[id(tails[1])] > 1
     assert id(tails[3]) not in passes  # the lossy row goes to fsum
@@ -299,8 +319,8 @@ def test_a_row_that_sums_to_exactly_zero_is_fsums_zero_without_fsum(
     terms = row.tolist() + [c for k, c in tails for _ in range(k)]
     expected = math.fsum(terms).hex()
     with mock.patch.object(diagnostics, "_fsum") as fsum:
-        one = _exact_sum(row, tails)
-        block = _exact_sum(np.stack([row, np.ones_like(row), row]), [tails, (), tails])
+        one = _sums(row, tails)
+        block = _sums(np.stack([row, np.ones_like(row), row]), [tails, (), tails])
     fsum.assert_not_called()
     assert one.hex() == expected == (0.0).hex()
     assert [block[0].hex(), block[2].hex()] == [expected] * 2
@@ -315,7 +335,7 @@ def test_an_exact_zero_block_calls_fsum_for_its_lossy_row_only():
     rows[2] = -0.0
     tails = [((2, 0.25), (1, -0.5)), (), ((3, -0.0),)]
     with mock.patch.object(diagnostics, "_fsum", wraps=diagnostics._fsum) as fsum:
-        got = _exact_sum(rows, tails)
+        got = _sums(rows, tails)
     assert [r.hex() for r in got] == [e.hex() for e in _fsum_rows(rows.tolist(), tails)]
     assert fsum.call_count == 1 and fsum.call_args.args[0].tolist() == rows[1].tolist()
 
@@ -362,7 +382,7 @@ def test_exact_sum_near_a_rounding_midpoint_has_the_bits_of_fsum(
     half = math.ulp(x0) / 2
     terms = [x0, half, sign * half * 2.0**-k, cancel, -cancel] + [0.0] * (n - 2)
     row = np.random.default_rng(seed).permutation(np.array(terms))
-    assert _exact_sum(row).hex() == math.fsum(terms).hex()
+    assert _sums(row).hex() == math.fsum(terms).hex()
 
 
 _LEAF_EDGES = [1, 5, 7, 8, 9, 127, 128, 129, 136, 255, 256, 257, 20_000]
@@ -404,8 +424,9 @@ def test_pairwise_sum_has_the_bits_of_np_sum(n, data):
 )
 def test_total_variation_has_the_bits_of_np_sum_over_the_window(n, data, periodic):
     # One window: cells outside the active range [lo, hi) hold the
-    # far-field values, and the variation read from the leaves around the
-    # range has the bits of np.sum over the whole window.
+    # far-field values, and the record's variation, read from the leaves
+    # around the range, has the bits of total_variation: np.sum over the
+    # whole window.
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     scale = 10.0 ** rng.uniform(-12.0, 6.0)
     first, last = rng.uniform(-1.0, 1.0, 2) * scale
@@ -423,6 +444,7 @@ def test_total_variation_has_the_bits_of_np_sum_over_the_window(n, data, periodi
     if periodic:
         expected += abs(float(u[0]) - float(u[-1]))
     assert total_variation(grid).hex() == expected.hex()
+    assert _record(grid, ParticleState(h=0.0, v=0.0, m_p=1.0))[1][0].hex() == expected.hex()
 
 
 def test_total_variation_examples():
@@ -574,21 +596,19 @@ def test_entropy_residual_rejects_mismatched_grids():
         entropy_residual(prev, (other, nxt[1]), cfg, dt, (0.0, 0.0))
 
 
-def test_dissipativity_probe_examples():
+def test_dissipativity_probe_examples(monkeypatch):
     for bulk in (BulkFluxKind.GODUNOV, BulkFluxKind.ENGQUIST_OSHER):
         d1, d2 = dissipativity_probe(
             InterfaceFluxKind.MAX_GERM, bulk, 1.0, (-2.0, 2.0), 0.0, 200
         )
         assert d1 >= -1e-10 and d2 >= -1e-10
-    # sanity: a deliberately decreasing difference is reported
+    # sanity: a deliberately decreasing difference g_minus - g_plus = -a - b
+    # is reported
+    monkeypatch.setattr(
+        diagnostics, "interface_fluxes", lambda iface, bulk, a, b, v, lam: (-a - b, 0.0 * a)
+    )
     d1, d2 = dissipativity_probe(
-        InterfaceFluxKind.MAX_GERM,
-        BulkFluxKind.GODUNOV,
-        1.0,
-        (-2.0, 2.0),
-        0.0,
-        50,
-        difference_fn=lambda a, b: -a - b,
+        InterfaceFluxKind.MAX_GERM, BulkFluxKind.GODUNOV, 1.0, (-2.0, 2.0), 0.0, 50
     )
     assert d1 < 0 and d2 < 0
     with pytest.raises(ValueError):

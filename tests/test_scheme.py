@@ -14,7 +14,9 @@ from burgers_particle.diagnostics import (
     total_variation,
 )
 from burgers_particle import diagnostics, scheme
-from burgers_particle.flux import BulkFluxKind, InterfaceFluxKind, bulk_flux, interface_fluxes
+from burgers_particle.flux import (
+    BulkFluxKind, InterfaceFluxKind, bulk_flux, interface_fluxes, lipschitz_bound,
+)
 from burgers_particle.scheme import (
     BoundaryGuardError,
     Domain,
@@ -31,6 +33,7 @@ from burgers_particle.scheme import (
     step_implicit,
 )
 from conftest import random_piecewise
+from test_acceptance import _chain_state
 
 BULKS = list(BulkFluxKind)
 IFACES = list(InterfaceFluxKind)
@@ -832,19 +835,19 @@ def test_run_matches_full_window_reference_on_long_sums(domain):
 
 
 def _record_blocks(monkeypatch, cells=None):
-    """Count the states of each make_record call of run; with ``cells``,
-    cap the blocks at that many cell values."""
+    """The states of each make_record call of run, one list per call; with
+    ``cells``, cap the blocks at that many cell values."""
     if cells is not None:
         monkeypatch.setattr(diagnostics, "RECORD_BLOCK_CELLS", cells)
-    sizes = []
+    blocks = []
     real = scheme.make_record
 
     def make_record(block, lam):
-        sizes.append(len(block.states))
+        blocks.append(list(block.states))
         return real(block, lam)
 
     monkeypatch.setattr(scheme, "make_record", make_record)
-    return sizes
+    return blocks
 
 
 @pytest.mark.parametrize("domain", list(Domain))
@@ -853,18 +856,24 @@ def test_run_records_across_block_boundaries(domain, store_all, monkeypatch):
     # Small blocks: the run's states split into several make_record calls,
     # and the last block is shorter than the others.  Every column keeps
     # its bits; without store_all the columns equal those of the run that
-    # stores every state.
+    # stores every state.  The blocks hold the run's own grids, no copies.
     u0 = PiecewiseConstant(breakpoints=(-0.3, 0.0, 0.25), values=(-0.6, 1.1, -0.7, 0.9))
     kw = {"half_width": 9.0} if domain is Domain.PERIODIC else {}
     cfg = base_cfg(T=0.3, m_p=0.5, domain=domain, **kw)
     reference = _reference_run(u0, 0.0, 0.2, cfg, 0.05)
     full = run(u0, 0.0, 0.2, cfg, 0.05, store_all=True)
     # three states of the 360-cell periodic box per block
-    sizes = _record_blocks(monkeypatch, cells=3 * (360 + 2 * 128))
+    blocks = _record_blocks(monkeypatch, cells=3 * (360 + 2 * 128))
     traj = run(u0, 0.0, 0.2, cfg, 0.05, store_all=store_all)
+    sizes = [len(states) for states in blocks]
     assert len(sizes) > 2 and sum(sizes) == len(traj.times)
     assert sizes[-1] < max(sizes)
+    grids = [grid for states in blocks for grid, _ in states]
+    stored = [grid for _, grid in traj.snapshots]
+    assert grids[0] is stored[0] and grids[-1] is stored[-1]
+    assert [p.v for states in blocks for _, p in states] == traj.v.tolist()
     if store_all:
+        assert len(grids) == len(stored) and all(a is b for a, b in zip(grids, stored))
         _assert_matches_reference(traj, *reference)
     for name in _COLUMNS:
         assert getattr(traj, name).tobytes() == getattr(full, name).tobytes(), name
@@ -878,10 +887,10 @@ def test_run_records_a_single_block_of_one_or_two_states(domain, T, monkeypatch)
     u0 = PiecewiseConstant(breakpoints=(-0.3, 0.0, 0.25), values=(-0.6, 1.1, -0.7, 0.9))
     kw = {"half_width": 4.0} if domain is Domain.PERIODIC else {}
     cfg = base_cfg(T=T, m_p=0.5, domain=domain, **kw)
-    sizes = _record_blocks(monkeypatch)
+    blocks = _record_blocks(monkeypatch)
     traj = run(u0, 0.0, 0.2, cfg, 0.05, store_all=True)
     states, columns = _reference_run(u0, 0.0, 0.2, cfg, 0.05)
-    assert sizes == [len(states)] == [1 if T == 0.0 else 2]
+    assert [len(b) for b in blocks] == [len(states)] == [1 if T == 0.0 else 2]
     _assert_matches_reference(traj, states, columns, min_states=len(states))
 
 
@@ -889,7 +898,7 @@ def test_run_propagates_a_guard_error_raised_inside_a_block(monkeypatch):
     # The fifth step raises while its block still waits for make_record:
     # the error reaches the caller, no record is made, and run returns
     # nothing.
-    sizes = _record_blocks(monkeypatch)
+    blocks = _record_blocks(monkeypatch)
     real_step = scheme.step
     steps = []
 
@@ -904,7 +913,7 @@ def test_run_propagates_a_guard_error_raised_inside_a_block(monkeypatch):
     result = []
     with pytest.raises(BoundaryGuardError):
         result.append(run(u0, 0.0, 0.5, base_cfg(T=0.5), 0.05))
-    assert len(steps) == 5 and sizes == [] and result == []
+    assert len(steps) == 5 and blocks == [] and result == []
 
 
 @pytest.mark.parametrize(
@@ -1275,6 +1284,43 @@ def test_concurrent_runs_match_serial_runs():
         assert a.momentum.tobytes() == b.momentum.tobytes()
         assert a.tv.tobytes() == b.tv.tobytes()
         assert np.array_equal(a.snapshots[-1][1].u, b.snapshots[-1][1].u)
+
+
+@pytest.mark.parametrize("update", list(VelocityUpdate))
+@pytest.mark.parametrize("iface", IFACES)
+@pytest.mark.parametrize("bulk", BULKS)
+def test_order_preservation_over_every_scheme(bulk, iface, update):
+    # Criterion 09's construction (ordered periodic chain states with total
+    # rise <= lam, ordered particle speeds, its dt bound) for every bulk
+    # flux, interface family and velocity update: the step is monotone, so
+    # the ordered pairs stay ordered.
+    rng = np.random.default_rng(11)
+    lam, n_half, dx, tau = 1.0, 12, 0.1, 1e-10
+    advance = step if update is VelocityUpdate.EXPLICIT else step_implicit
+    for trial in range(40):
+        w1, w2 = (_chain_state(rng, n_half, lam, 1.0) for _ in range(2))
+        u_lo, u_hi = np.minimum(w1, w2), np.maximum(w1, w2)
+        v_lo = float(rng.uniform(-1.5, 1.5))
+        v_hi = v_lo + float(rng.uniform(0.0, 1.0))
+        m_p = [0.1, 1.0, 10.0][trial % 3]
+        m, M = float(u_lo.min()), float(u_hi.max())
+        vb_lo, vb_hi = min(m, v_lo), max(M, v_hi)
+        L = lipschitz_bound(bulk, m, M, vb_lo, vb_hi, lam)
+        B3 = max(abs(m - lam), abs(M + lam), abs(vb_lo), abs(vb_hi))
+        dt = 0.99 * min(0.5 * dx / L, m_p / (2.0 * B3), m_p / (4.0 * L))
+        cfg = base_cfg(
+            mu=dt / dx, m_p=m_p, bulk=bulk, iface=iface, velocity_update=update,
+            domain=Domain.PERIODIC, half_width=n_half * dx, dt_override=dt,
+        )
+        lo, hi = (
+            (FluidGrid(u=u, dx=dx, left_edge=-n_half * dx, j_min=1 - n_half, periodic=True),
+             ParticleState(h=0.0, v=v, m_p=m_p))
+            for u, v in ((u_lo, v_lo), (u_hi, v_hi))
+        )
+        for _ in range(50):
+            lo, hi = advance(*lo, cfg, dt), advance(*hi, cfg, dt)
+            assert float(np.max(lo[0].u - hi[0].u)) <= tau
+            assert lo[1].v - hi[1].v <= tau
 
 
 def test_one_sided_invariant_region_shifted_family():
