@@ -178,8 +178,6 @@ def parse_config(text: str) -> ExperimentConfig:
     # number is already finite); SchemeConfig checks the rest.
     if not dx_levels or any(dx <= 0 for dx in dx_levels):
         raise ConfigError("key 'dx' must list positive values")
-    if any(t < 0 or t > T for t in snapshots):
-        raise ConfigError("key 'snapshots' times must lie in [0, T]")
 
     try:
         scheme_cfg = SchemeConfig(**scheme)
@@ -237,12 +235,13 @@ def _write_csv(path: Path, header: list[str], columns) -> None:
 
 
 def _command(out_dir: Path, work) -> int:
-    """Make ``out_dir``, then do a command's ``work()``, which returns its CSV
-    files as ``(name, header, columns)`` and its gate's violations as ``(check,
-    value, limit)``: write the files, print a FAIL line per violation, and exit
-    1 if there is any, else 0.  A refused ``work`` raises and writes nothing."""
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """Do a command's ``work()``, which returns its CSV files as ``(name,
+    header, columns)`` and its gate's violations as ``(check, value, limit)``:
+    make ``out_dir``, write the files, print a FAIL line per violation, and
+    exit 1 if there is any, else 0.  A refused ``work`` raises and makes no
+    directory and no file."""
     files, violations = work()
+    out_dir.mkdir(parents=True, exist_ok=True)
     for name, header, columns in files:
         _write_csv(out_dir / name, header, columns)
     for check, value, limit in violations:

@@ -202,10 +202,11 @@ def _exact_sum(x: np.ndarray, tails: Sequence, extremes, scratch: np.ndarray) ->
             shifts[i] += b
 
 
-def total_momentum(grid: "FluidGrid", particle: "ParticleState") -> float:
-    """m_p * v + dx * sum(u), the cells summed by ``math.fsum``: the
-    definition that ``make_record``'s momentum reproduces bit for bit."""
-    return particle.m_p * particle.v + grid.dx * math.fsum(grid.u.tolist())
+def total_momentum(grid: "FluidGrid", particle: "ParticleState", cfg: "SchemeConfig") -> float:
+    """m_p * v + dx * sum(u), the mass ``cfg.m_p`` and the cells summed by
+    ``math.fsum``: the definition that ``make_record``'s momentum reproduces
+    bit for bit."""
+    return cfg.m_p * particle.v + grid.dx * math.fsum(grid.u.tolist())
 
 
 # numpy's sum of a float64 row is a pairwise tree (pairwise_sum in numpy's
@@ -317,7 +318,7 @@ class RecordBlock:
         return (len(self.states) + 1) * width > RECORD_BLOCK_CELLS
 
 
-def make_record(block: RecordBlock, lam: float) -> tuple[list[float], ...]:
+def make_record(block: RecordBlock, cfg: "SchemeConfig") -> tuple[list[float], ...]:
     """Columns (momentum, tv, u_min, u_max, trace_germ_dist) of the
     states of a block, one float per state, with the bits of
     ``total_momentum``, ``total_variation`` and min/max over each window.
@@ -345,12 +346,13 @@ def make_record(block: RecordBlock, lam: float) -> tuple[list[float], ...]:
     sums = _exact_sum(rows, tails, (u_max, u_min), scratch)
     k = grids[0].particle_index - a  # the grids of a run share their mesh
     traces = rows[:, k : k + 2].tolist()
+    m_p, dx = cfg.m_p, block.dx
     return (
-        [p.m_p * p.v + block.dx * s for p, s in zip(particles, sums)],
+        [m_p * p.v + dx * s for p, s in zip(particles, sums)],
         _variation(rows, a, n, block.periodic, scratch).tolist(),
         u_min.tolist(),
         u_max.tolist(),
-        [dist1_to_H(pair, p.v, lam) for pair, p in zip(traces, particles)],
+        [dist1_to_H(pair, p.v, cfg.lam) for pair, p in zip(traces, particles)],
     )
 
 
@@ -480,6 +482,11 @@ class MaximalityVerdict:
 # a 1000-candidate probe peaked about 0.4 MiB higher with blocks of 64, 0.8
 # MiB with blocks of 256 and 3.7 MiB with one block of 1000.
 _PROBE_BLOCK = 64
+
+# How far outside the germ a passing candidate of ``maximality_probe`` may
+# lie: pairs closer to the boundary than the pairing resolution
+# sqrt(2*TAU_NUM) are indistinguishable from members.
+_BOUNDARY_TOL = 1e-6
 
 # Candidate-adapted line parameters: anchor + d * offset, d the candidate's
 # offset from the line.
@@ -633,7 +640,6 @@ def maximality_probe(
     v: float,
     n_h: int,
     candidates: Sequence[tuple[float, float]] | np.ndarray,
-    boundary_tol: float = 1e-6,
 ) -> list[MaximalityVerdict]:
     """Test candidate trace pairs against the entropy-pairing criterion.
 
@@ -643,8 +649,7 @@ def maximality_probe(
     local refinements around the coarse minimizers, so near-boundary
     violations are not missed by the finite sample.  Each verdict
     cross-checks that a passing candidate lies in the germ with boundaries
-    inflated by ``boundary_tol`` (pairs closer to the boundary than the
-    pairing resolution sqrt(2*TAU_NUM) are indistinguishable from members).
+    inflated by ``_BOUNDARY_TOL``, the pairing resolution.
 
     ``candidates`` is a sequence of pairs or an (n, 2) array.  Each
     candidate makes one pass over the base sample; the adapted points and
@@ -670,7 +675,7 @@ def maximality_probe(
                     min_xi=min_xi,
                     passes=passes,
                     region=classify((a, b), v, lam),
-                    consistent=(not passes) or in_germ((a, b), v, lam, tol=boundary_tol),
+                    consistent=(not passes) or in_germ((a, b), v, lam, tol=_BOUNDARY_TOL),
                 )
             )
     return out

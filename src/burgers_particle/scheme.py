@@ -118,13 +118,12 @@ class PiecewiseConstant:
 
 @dataclass(frozen=True)
 class ParticleState:
+    """The particle's position and velocity; its mass is ``SchemeConfig.m_p``."""
+
     h: float
     v: float
-    m_p: float
 
     def __post_init__(self):
-        if self.m_p <= 0.0:
-            raise ValueError(f"particle mass must be positive, got {self.m_p}")
         if not (math.isfinite(self.h) and math.isfinite(self.v)):
             raise ValueError("particle position and velocity must be finite")
 
@@ -139,7 +138,6 @@ class SchemeConfig:
     iface: InterfaceFluxKind = InterfaceFluxKind.MAX_GERM
     velocity_update: VelocityUpdate = VelocityUpdate.EXPLICIT
     domain: Domain = Domain.PADDED
-    dt_override: float | None = None
     half_width: float | None = None
 
     def __post_init__(self):
@@ -153,8 +151,6 @@ class SchemeConfig:
             raise ValueError(f"key 'T' (final time) must be nonnegative, got T={self.T}")
         if self.m_p <= 0.0:
             raise ValueError(f"key 'mass' (particle mass) must be positive, got m_p={self.m_p}")
-        if self.dt_override is not None and self.dt_override <= 0.0:
-            raise ValueError("dt_override must be positive when given")
         if self.domain is Domain.PERIODIC:
             if self.half_width is None or self.half_width <= 0.0:
                 raise ValueError("periodic domain needs a positive 'half_width'")
@@ -187,7 +183,8 @@ class FluidGrid:
     it.  The grid stores the ``n`` cells in that compact form: ``cells``
     holds those of the active range, so a padded step costs its active
     cells, not its window.  ``u`` is the whole window, read-only, built on
-    first access.  The constructor derives the active range from ``u``.
+    first access.  The constructor derives the active range from ``u``
+    and reads -0.0 as 0.0.
     Periodic grids have no far field and use the full range.  ``leak`` is
     the momentum that left a padded window through its edges during the
     step that produced this grid (0 for a constructed or periodic grid).
@@ -200,6 +197,7 @@ class FluidGrid:
         self, u: np.ndarray, dx: float, left_edge: float, j_min: int, periodic: bool = False
     ):
         u = np.array(u, dtype=float)  # a copy: the caller's array must not move the cells
+        u += 0.0  # -0.0 to 0.0, as in PiecewiseConstant: a cell equal to the far field reads as it
         if dx <= 0.0:
             raise ValueError(f"cell width must be positive, got dx={dx}")
         if u.ndim != 1 or u.shape[0] < 4:
@@ -305,26 +303,24 @@ class Trajectory:
     env: BoundsEnvelope
 
 
-def _time_step(cfg: SchemeConfig, env: BoundsEnvelope, dx: float) -> tuple[float, float, str]:
+def time_step(cfg: SchemeConfig, env: BoundsEnvelope, dx: float) -> tuple[float, float, str]:
     """The nominal step dt, its ratio dt/dx and the config key that sets it:
-    ``dt_override``, else the CFL step for L*mu <= 1/2, or for an explicit
-    velocity update the mass step m_p/(4L) (4*L*dt/m_p <= 1) when smaller.
-    A ratio that underflows to 0 is refused, naming the key."""
-    if cfg.dt_override is not None:
-        dt, ratio, key = cfg.dt_override, cfg.dt_override / dx, "'dt_override'"
-    else:
-        L = lipschitz_bound(cfg.bulk, env.m, env.M, env.v_lo, env.v_hi, cfg.lam)
-        if not math.isfinite(L):
-            raise ValueError(
-                "the flux Lipschitz bound is not finite; check 'lambda', 'v0' and the datum "
-                "('u_minus'/'u_plus' or 'values')"
-            )
-        ratio = cfg.mu if L == 0.0 else min(cfg.mu, 0.5 / L)
-        dt, key = ratio * dx, "'mu'"
-        if cfg.velocity_update is VelocityUpdate.EXPLICIT and L > 0.0:
-            dt_mass = cfg.m_p / (4.0 * L)
-            if dt_mass < dt:
-                dt, ratio, key = dt_mass, dt_mass / dx, "'mass'"
+    the CFL step for L*mu <= 1/2, or for an explicit velocity update the
+    mass step m_p/(4L) (4*L*dt/m_p <= 1) when smaller.  ``run`` takes this
+    step and ``init_state`` sizes the padded window with it.  A ratio that
+    underflows to 0 is refused, naming the key."""
+    L = lipschitz_bound(cfg.bulk, env.m, env.M, env.v_lo, env.v_hi, cfg.lam)
+    if not math.isfinite(L):
+        raise ValueError(
+            "the flux Lipschitz bound is not finite; check 'lambda', 'v0' and the datum "
+            "('u_minus'/'u_plus' or 'values')"
+        )
+    ratio = cfg.mu if L == 0.0 else min(cfg.mu, 0.5 / L)
+    dt, key = ratio * dx, "'mu'"
+    if cfg.velocity_update is VelocityUpdate.EXPLICIT and L > 0.0:
+        dt_mass = cfg.m_p / (4.0 * L)
+        if dt_mass < dt:
+            dt, ratio, key = dt_mass, dt_mass / dx, "'mass'"
     if not ratio > 0.0:
         raise ValueError(f"the time step {dt!r} has dt/dx = {ratio!r}; check {key}")
     return dt, ratio, key
@@ -369,7 +365,7 @@ def init_state(
     """Exact cell averaging of the initial datum on a mesh aligned with h0.
 
     The padded domain covers the datum's support widened on each side by
-    three cells per step of ``_time_step`` (a disturbance moves at most one
+    three cells per step of ``time_step`` (a disturbance moves at most one
     cell per step) and six more.  The periodic domain uses the configured
     half width, which ``run`` checks against the step it takes before it
     lays the box out.  A window of more than MAX_CELLS cells, more rows than
@@ -382,7 +378,7 @@ def init_state(
         n_left = n_right = m_c
         j_min = 1 - m_c
     else:
-        _, ratio, key = _time_step(cfg, bounds_envelope(u0, v0, cfg.lam, split=h0), dx)
+        _, ratio, key = time_step(cfg, bounds_envelope(u0, v0, cfg.lam, split=h0), dx)
         # Three times the influence length, plus six cells: the datum starts
         # clear of the three far-field cells a side a step must keep.
         pad = 3.0 * cfg.T / ratio + 6.0 * dx
@@ -415,23 +411,7 @@ def init_state(
         j_min=j_min,
         periodic=cfg.domain is Domain.PERIODIC,
     )
-    return grid, ParticleState(h=h0, v=v0, m_p=cfg.m_p)
-
-
-def compute_dt(
-    grid: FluidGrid,
-    particle: ParticleState,
-    cfg: SchemeConfig,
-    env: BoundsEnvelope,
-) -> float:
-    """The nominal step of ``_time_step``, the rule that also sizes the padded
-    window.  Its mass condition reads ``cfg.m_p``, so a particle of another
-    mass is refused."""
-    if particle.m_p != cfg.m_p:
-        raise ValueError(
-            f"the particle's mass {particle.m_p!r} differs from the configured m_p {cfg.m_p!r}"
-        )
-    return _time_step(cfg, env, grid.dx)[0]
+    return grid, ParticleState(h=h0, v=v0)
 
 
 # Most cells a padded update takes in Python floats instead of numpy arrays.
@@ -527,8 +507,8 @@ def _step(
         w, fm, fp = v, *interface_fluxes(cfg.iface, cfg.bulk, u0, u1, v, cfg.lam)
     fm, fp = float(fm), float(fp)
     new_grid = _fluid_update(grid, w, dt, fm, fp, cfg, grid.left_edge + v * dt)
-    v_new = v + (dt / particle.m_p) * (fm - fp)
-    return new_grid, ParticleState(h=particle.h + v * dt, v=v_new, m_p=particle.m_p)
+    v_new = v + (dt / cfg.m_p) * (fm - fp)
+    return new_grid, ParticleState(h=particle.h + v * dt, v=v_new)
 
 
 def step(
@@ -574,7 +554,7 @@ def _solve_implicit_velocity(
     bracket and replaces one end, so the loop always ends.
     """
     v_n = particle.v
-    scale = dt / particle.m_p
+    scale = dt / cfg.m_p
     eps4 = 2.0**-50  # 4 * eps
 
     def resid(w: float) -> tuple[float, float, tuple[float, float]]:
@@ -627,14 +607,14 @@ def run(
 ) -> Trajectory:
     """Integrate the coupled system up to the final time.
 
-    The nominal step comes from ``_time_step``; the last step is truncated
+    The nominal step comes from ``time_step``; the last step is truncated
     so the final time is hit exactly.  Snapshots are stored at t = 0, at the
     final time, at every requested time (the state whose time slab covers
     it), or at every step with ``store_all``.
     """
     _check_start(h0, v0, dx)
     env = bounds_envelope(u0, v0, cfg.lam, split=h0)
-    dt_nom, _, key = _time_step(cfg, env, dx)
+    dt_nom, _, key = time_step(cfg, env, dx)
     if cfg.domain is Domain.PERIODIC and cfg.T > 0.0:
         a_eff = _half_cells(cfg, dx) * dx
         guard = 3.0 * cfg.T * dx / dt_nom
@@ -645,7 +625,7 @@ def run(
             )
     req = sorted(set(float(t) for t in snapshot_times))
     if req and (req[0] < 0.0 or req[-1] > cfg.T):
-        raise ValueError("snapshot times must lie in [0, T]")
+        raise ValueError("key 'snapshots' times must lie in [0, T]")
     grid, particle = init_state(u0, h0, v0, cfg, dx)
 
     advance = step if cfg.velocity_update is VelocityUpdate.EXPLICIT else step_implicit
@@ -677,13 +657,13 @@ def run(
         t = t_next
         rows.append((t, particle.h, particle.v, leak + grid.leak, abs(particle.v - prev_v) / dt))
         if block.add(grid, particle):
-            for column, values in zip(records, make_record(block, cfg.lam)):
+            for column, values in zip(records, make_record(block, cfg)):
                 column += values
             block = RecordBlock(grid)
         if store_all and t != cfg.T:
             snapshots.append((t, grid))
     if block.states:
-        for column, values in zip(records, make_record(block, cfg.lam)):
+        for column, values in zip(records, make_record(block, cfg)):
             column += values
     if snapshots[-1][0] != t:
         snapshots.append((t, grid))

@@ -32,10 +32,10 @@ from burgers_particle.scheme import (
     PiecewiseConstant,
     SchemeConfig,
     VelocityUpdate,
-    compute_dt,
     init_state,
     run,
     step,
+    time_step,
 )
 
 BULKS = list(BulkFluxKind)
@@ -154,7 +154,7 @@ def test_criterion_03_a_priori_bounds():
         L = lipschitz_bound(bulk, env.m, env.M, env.v_lo, env.v_hi, lam)
         probe_cfg = SchemeConfig(lam=lam, mu=0.45, T=0.0, m_p=m_p, bulk=bulk, iface=iface)
         grid, part = init_state(u0, 0.0, v0, probe_cfg, dx)
-        dt = compute_dt(grid, part, probe_cfg, env)
+        dt = time_step(probe_cfg, env, grid.dx)[0]
         cfg = SchemeConfig(lam=lam, mu=0.45, T=105 * dt, m_p=m_p, bulk=bulk, iface=iface)
         grid, part = init_state(u0, 0.0, v0, cfg, dx)
         tv0 = total_variation(grid)
@@ -223,7 +223,7 @@ def test_criterion_04_well_balancing(rng):
             )
             grid, part = init_state(u0, 0.0, 0.5, cfg, 0.1)
             env = bounds_envelope(u0, 0.5, 1.0)
-            dt = compute_dt(grid, part, cfg, env)
+            dt = time_step(cfg, env, grid.dx)[0]
             g, p = grid, part
             for _ in range(100):
                 g, p = step(g, p, cfg, dt)
@@ -257,7 +257,7 @@ def test_criterion_05_dissipativity(bulk, iface):
 def test_criterion_06_maximality():
     rng = np.random.default_rng(2024)
     candidates = [tuple(p) for p in rng.uniform(-3.0, 3.0, size=(1000, 2))]
-    verdicts = maximality_probe(1.0, 0.0, 10_000, candidates, boundary_tol=1e-6)
+    verdicts = maximality_probe(1.0, 0.0, 10_000, candidates)
     bad = [x for x in verdicts if not x.consistent]
     assert not bad, f"criterion passed outside the germ at {bad[:3]}"
     # double-check against an independent membership test
@@ -283,7 +283,7 @@ def test_criterion_07_entropy_inequality():
         v0 = float(rng.uniform(min(vals), max(vals)))
         grid, part = init_state(u0, 0.0, v0, cfg0, 0.05)
         env = bounds_envelope(u0, v0, 1.0)
-        dt = compute_dt(grid, part, cfg0, env)
+        dt = time_step(cfg0, env, grid.dx)[0]
         nxt = step(grid, part, cfg0, dt)
         if k % 2:
             t = float(rng.uniform(env.m, env.M))
@@ -313,7 +313,7 @@ def test_criterion_08_symmetry():
             )
             grid, part = init_state(u0, 0.0, 0.0, probe_cfg, dx)
             env = bounds_envelope(u0, 0.0, 1.0)
-            dt = compute_dt(grid, part, probe_cfg, env)
+            dt = time_step(probe_cfg, env, grid.dx)[0]
             cfg = SchemeConfig(
                 lam=1.0, mu=0.25, T=1000 * dt, m_p=1.0, bulk=bulk, iface=iface,
                 domain=Domain.PERIODIC, half_width=3.0 * 1000 * dx,
@@ -360,12 +360,12 @@ def test_criterion_09_order_preservation():
         cfg = SchemeConfig(
             lam=lam, mu=dt / dx, T=1.0, m_p=m_p,
             bulk=BulkFluxKind.GODUNOV, iface=InterfaceFluxKind.G1_ONLY,
-            domain=Domain.PERIODIC, half_width=n_half * dx, dt_override=dt,
+            domain=Domain.PERIODIC, half_width=n_half * dx,
         )
         g_lo = FluidGrid(u=u_lo, dx=dx, left_edge=-n_half * dx, j_min=1 - n_half, periodic=True)
         g_hi = FluidGrid(u=u_hi, dx=dx, left_edge=-n_half * dx, j_min=1 - n_half, periodic=True)
-        p_lo = ParticleState(h=0.0, v=v_lo, m_p=m_p)
-        p_hi = ParticleState(h=0.0, v=v_hi, m_p=m_p)
+        p_lo = ParticleState(h=0.0, v=v_lo)
+        p_hi = ParticleState(h=0.0, v=v_hi)
         for _ in range(50):
             g_lo, p_lo = step(g_lo, p_lo, cfg, dt)
             g_hi, p_hi = step(g_hi, p_hi, cfg, dt)
@@ -384,8 +384,8 @@ def test_criterion_10_implicit_variant():
     m_p = 1e-3
     dt = 10.0 * m_p / (4.0 * L)  # mass condition violated tenfold
     cfg = SchemeConfig(
-        lam=1.0, mu=0.25, T=1000 * dt, m_p=m_p,
-        velocity_update=VelocityUpdate.IMPLICIT, dt_override=dt,
+        lam=1.0, mu=dt / 0.05, T=1000 * dt, m_p=m_p,
+        velocity_update=VelocityUpdate.IMPLICIT,
     )
     traj = run(u0, 0.0, 0.5, cfg, 0.05)
     assert len(traj.times) == 1001

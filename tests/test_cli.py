@@ -89,7 +89,6 @@ def _set_line(text: str, line: str) -> str:
         ("flux = upwind", "flux"),
         ("mass = 0", r"^key 'mass' \(particle mass\) must be positive"),
         ("dx = 0.1\ndx = 0.1", "line 7: duplicate key 'dx'"),
-        ("snapshots = 2.0", "snapshots"),
         ("half_width = 3", "half_width"),
         ("domain = periodic", "'half_width'"),
         ("domain = periodic\nhalf_width = -1", "'half_width'"),
@@ -171,7 +170,7 @@ def test_run_refuses_a_mesh_that_floating_point_cannot_resolve(tmp_path, capsys)
     fail = capsys.readouterr().out.splitlines()
     assert len(fail) == 1 and fail[0].startswith("FAIL check=execution")
     assert "'h0'" in fail[0] and "'dx'" in fail[0]
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_run_refuses_a_mesh_that_floating_point_cannot_keep_uniform(tmp_path, capsys):
@@ -185,7 +184,7 @@ def test_run_refuses_a_mesh_that_floating_point_cannot_keep_uniform(tmp_path, ca
     fail = capsys.readouterr().out.splitlines()
     assert len(fail) == 1 and fail[0].startswith("FAIL check=execution")
     assert "'h0'" in fail[0] and "'dx'" in fail[0]
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -218,6 +217,19 @@ def test_periodic_box_below_the_guard_fails_at_execution(tmp_path, capsys):
     fail = capsys.readouterr().out.splitlines()
     assert len(fail) == 1 and fail[0].startswith("FAIL check=execution")
     assert "'half_width'" in fail[0] and "'mu'" in fail[0]
+
+
+def test_a_snapshot_time_after_the_final_time_fails_at_execution(tmp_path, capsys):
+    # run owns the range [0, T] of the snapshot times: it refuses 2.0 > T
+    # before the first step, naming the key, and no directory is made.
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(MINIMAL + "snapshots = 2.0\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", str(cfg_path), "--out", str(out)]) == 2
+    fail = capsys.readouterr().out.splitlines()
+    assert len(fail) == 1 and fail[0].startswith("FAIL check=execution")
+    assert "'snapshots'" in fail[0]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -259,7 +271,7 @@ def test_an_overflowing_flux_bound_exits_2_naming_the_keys(replace, add, tmp_pat
     fail = capsys.readouterr().out.splitlines()
     assert len(fail) == 1 and fail[0].startswith("FAIL check=execution")
     assert all(key in fail[0] for key in ("'lambda'", "'v0'", "'u_minus'", "'values'"))
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_a_config_that_is_not_utf8_exits_2_naming_the_file(tmp_path, capsys):
@@ -546,7 +558,7 @@ def test_run_refuses_snapshots_that_share_a_file(tmp_path, capsys):
     assert main(["run", str(cfg_path), "--out", str(out)]) == 2
     fail = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
     assert len(fail) == 1 and "'snapshots'" in fail[0]
-    assert list(out.iterdir()) == []  # refused before any file is written
+    assert not out.exists()  # refused before the directory is made
 
 
 def test_run_gate_reports_a_record_out_of_bounds(tmp_path, monkeypatch, capsys):
@@ -608,7 +620,7 @@ def test_oversized_windows_exit_2_naming_the_keys(replace, add, keys, command, t
     fail = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
     assert len(fail) == 1 and "more than 10000000" in fail[0]
     assert all(key in fail[0] for key in keys)
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 LIGHT = """
@@ -652,7 +664,7 @@ def test_tiny_mass_exits_2_naming_mass(mass, add, fragment, tmp_path, capsys):
     assert main(["run", str(cfg_path), "--out", str(out)]) == 2
     fail = capsys.readouterr().out.splitlines()
     assert len(fail) == 1 and fail[0].startswith("FAIL check=execution") and fragment in fail[0]
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_periodic_effective_guard_names_the_key_that_sets_the_step(tmp_path, capsys):
@@ -667,7 +679,7 @@ def test_periodic_effective_guard_names_the_key_that_sets_the_step(tmp_path, cap
     fail = capsys.readouterr().out.splitlines()
     assert len(fail) == 1 and fail[0].startswith("FAIL check=execution")
     assert "'half_width'" in fail[0] and "'mass'" in fail[0]
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("workload", ["compact-run", "periodic-dense"])

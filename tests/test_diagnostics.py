@@ -40,9 +40,9 @@ from burgers_particle.scheme import (
     ParticleState,
     PiecewiseConstant,
     SchemeConfig,
-    compute_dt,
     init_state,
     step,
+    time_step,
 )
 from conftest import random_piecewise
 
@@ -71,18 +71,22 @@ def test_bounds_envelope_monotone_in_datum_range(rng):
         assert e1.v_lo <= e0.v_lo and e1.v_hi >= e0.v_hi
 
 
+def _cfg(m_p):
+    return SchemeConfig(lam=1.0, mu=0.5, T=0.0, m_p=m_p)
+
+
 def test_total_momentum_examples():
     grid = FluidGrid(u=np.zeros(10), dx=0.1, left_edge=-0.5, j_min=-4)
-    assert total_momentum(grid, ParticleState(h=0, v=0, m_p=1.0)) == 0.0
+    assert total_momentum(grid, ParticleState(h=0, v=0), _cfg(1.0)) == 0.0
     grid = FluidGrid(u=np.ones(10), dx=0.1, left_edge=-0.5, j_min=-4)
-    assert total_momentum(grid, ParticleState(h=0, v=0.5, m_p=2.0)) == 2.0
+    assert total_momentum(grid, ParticleState(h=0, v=0.5), _cfg(2.0)) == 2.0
 
 
-def _record(grid, particle):
+def _record(grid, particle, m_p=1.0):
     """make_record's columns for a block of the one state."""
     block = diagnostics.RecordBlock(grid)
     block.add(grid, particle)
-    return diagnostics.make_record(block, 1.0)
+    return diagnostics.make_record(block, _cfg(m_p))
 
 
 _values = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
@@ -106,10 +110,10 @@ def test_total_momentum_with_tails_is_bit_exact(
     # so the record has the bits of total_momentum, fsum over every cell.
     u = np.concatenate([np.full(k_left, c_left), middle, np.full(k_right, c_right)])
     grid = FluidGrid(u=u, dx=dx, left_edge=0.0, j_min=-k_left)
-    particle = ParticleState(h=0.0, v=v, m_p=m_p)
+    particle = ParticleState(h=0.0, v=v)
     expected = m_p * v + dx * math.fsum(u.tolist())
-    assert total_momentum(grid, particle).hex() == expected.hex()
-    assert _record(grid, particle)[0][0].hex() == expected.hex()
+    assert total_momentum(grid, particle, _cfg(m_p)).hex() == expected.hex()
+    assert _record(grid, particle, m_p)[0][0].hex() == expected.hex()
 
 
 def _sums(x, tails=()):
@@ -351,10 +355,10 @@ def test_the_record_of_a_one_minus_one_window_sums_without_fsum():
     for _ in range(3):
         block.add(grid, part)
     with mock.patch.object(diagnostics, "_fsum") as fsum:
-        momentum = diagnostics.make_record(block, cfg.lam)[0]
-        alone = total_momentum(grid, part)
+        momentum = diagnostics.make_record(block, cfg)[0]
+        alone = total_momentum(grid, part, cfg)
     fsum.assert_not_called()
-    expected = part.m_p * part.v + grid.dx * math.fsum(grid.u.tolist())
+    expected = cfg.m_p * part.v + grid.dx * math.fsum(grid.u.tolist())
     assert [m.hex() for m in momentum + [alone]] == [expected.hex()] * 4
 
 
@@ -444,7 +448,7 @@ def test_total_variation_has_the_bits_of_np_sum_over_the_window(n, data, periodi
     if periodic:
         expected += abs(float(u[0]) - float(u[-1]))
     assert total_variation(grid).hex() == expected.hex()
-    assert _record(grid, ParticleState(h=0.0, v=0.0, m_p=1.0))[1][0].hex() == expected.hex()
+    assert _record(grid, ParticleState(h=0.0, v=0.0))[1][0].hex() == expected.hex()
 
 
 def test_total_variation_examples():
@@ -460,7 +464,7 @@ def test_total_variation_examples():
 def _single_step(u0, v0, cfg0, dx=0.05):
     grid, part = init_state(u0, 0.0, v0, cfg0, dx)
     env = bounds_envelope(u0, v0, cfg0.lam)
-    dt = compute_dt(grid, part, cfg0, env)
+    dt = time_step(cfg0, env, grid.dx)[0]
     nxt = step(grid, part, cfg0, dt)
     return (grid, part), nxt, dt, env
 

@@ -16,9 +16,8 @@ from burgers_particle.scheme import (
     PiecewiseConstant,
     SchemeConfig,
     VelocityUpdate,
-    compute_dt,
-    init_state,
     run,
+    time_step,
 )
 
 COMBOS = [
@@ -52,7 +51,7 @@ def test_check_run_finds_no_violation_on_random_data(
                        velocity_update=update)
     if domain is Domain.PERIODIC:
         # a box wider than the influence guard 3*T*dx/dt of the step run takes
-        dt = compute_dt(*init_state(u0, 0.0, v0, cfg, dx), cfg, bounds_envelope(u0, v0, lam))
+        dt = time_step(cfg, bounds_envelope(u0, v0, lam), dx)[0]
         cfg = dataclasses.replace(cfg, domain=domain, half_width=3.0 * T * dx / dt + 2.0)
     traj = run(u0, 0.0, v0, cfg, dx)
     assert check_run(traj, cfg, u0) == []

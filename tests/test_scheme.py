@@ -25,12 +25,12 @@ from burgers_particle.scheme import (
     PiecewiseConstant,
     SchemeConfig,
     VelocityUpdate,
-    compute_dt,
     init_state,
     run,
     sample_solution,
     step,
     step_implicit,
+    time_step,
 )
 from conftest import random_piecewise
 from test_acceptance import _chain_state
@@ -79,7 +79,7 @@ def test_init_breakpoint_on_interface():
     assert np.all(grid.u[: p0 + 1] == 1.0)
     assert np.all(grid.u[p0 + 1 :] == -1.0)
     assert grid.interface_position == pytest.approx(0.0, abs=1e-12)
-    assert part.h == 0.0 and part.m_p == 1.0
+    assert part == ParticleState(h=0.0, v=0.0)
 
 
 def test_init_straddling_cell_average():
@@ -129,7 +129,7 @@ def test_init_rejects_bad_inputs():
         init_state(u0, math.nan, 0.0, base_cfg(), 0.1)
     # run checks the mesh before it sizes the step or the periodic box
     periodic = base_cfg(domain=Domain.PERIODIC, half_width=1.0)
-    for cfg in (base_cfg(dt_override=0.01), periodic):
+    for cfg in (base_cfg(), periodic):
         with pytest.raises(ValueError, match="cell width must be positive"):
             run(u0, 0.0, 0.0, cfg, 0.0)
 
@@ -163,53 +163,28 @@ def test_scheme_config_refuses_a_half_width_without_a_periodic_domain():
         SchemeConfig(lam=1.0, mu=0.25, T=0.5, m_p=1.0, domain=Domain.PADDED, half_width=1.0)
 
 
-# ---------------------------------------------------------------- compute_dt
+# ---------------------------------------------------------------- time_step
 
 
-def test_compute_dt_cfl_only():
-    env_box = bounds_envelope(PiecewiseConstant(breakpoints=(), values=(0.0,)), 0.0, 1.0)
-    # envelope (m, M, v) = (-1, 1, [-1, 1]) gives wave bound 3; force L = 1
-    # with a degenerate envelope instead
+def test_time_step_cfl_only():
+    # A degenerate envelope forces L = 1 at lam = 1; the CFL ratio 0.5/L
+    # equals mu and the mass step 1/4 is longer.
     from burgers_particle.diagnostics import BoundsEnvelope
 
     env = BoundsEnvelope(m=0.0, M=0.0, v_lo=0.0, v_hi=0.0)
-    u0 = PiecewiseConstant(breakpoints=(), values=(0.0,))
-    cfg = base_cfg(mu=0.5)
-    grid, part = init_state(u0, 0.0, 0.0, cfg, 0.1)
-    assert compute_dt(grid, part, cfg, env) == pytest.approx(0.05, rel=1e-15)
+    dt, ratio, key = time_step(base_cfg(mu=0.5), env, 0.1)
+    assert (dt, ratio, key) == (pytest.approx(0.05, rel=1e-15), 0.5, "'mu'")
 
 
-def test_compute_dt_mass_condition_binds():
+def test_time_step_mass_condition_binds():
     from burgers_particle.diagnostics import BoundsEnvelope
 
     env = BoundsEnvelope(m=0.0, M=0.0, v_lo=0.0, v_hi=0.0)  # L = 1 at lam = 1
-    u0 = PiecewiseConstant(breakpoints=(), values=(0.0,))
-    cfg = base_cfg(mu=0.5, m_p=0.1)
-    grid, part = init_state(u0, 0.0, 0.0, cfg, 0.1)
-    assert compute_dt(grid, part, cfg, env) == pytest.approx(0.025, rel=1e-15)
+    dt, ratio, key = time_step(base_cfg(mu=0.5, m_p=0.1), env, 0.1)
+    assert (dt, ratio, key) == (pytest.approx(0.025, rel=1e-15), pytest.approx(0.25), "'mass'")
     cfg_imp = base_cfg(mu=0.5, m_p=0.1, velocity_update=VelocityUpdate.IMPLICIT)
-    grid, part = init_state(u0, 0.0, 0.0, cfg_imp, 0.1)
-    assert compute_dt(grid, part, cfg_imp, env) == pytest.approx(0.05, rel=1e-15)
-
-
-def test_compute_dt_refuses_a_particle_of_another_mass():
-    # The step is set by cfg.m_p; a particle 10^8 times lighter would get
-    # the heavy particle's step and break the mass condition.
-    from burgers_particle.diagnostics import BoundsEnvelope
-
-    env = BoundsEnvelope(m=0.0, M=0.0, v_lo=0.0, v_hi=0.0)
-    u0 = PiecewiseConstant(breakpoints=(), values=(0.0,))
-    cfg = base_cfg(mu=0.5, m_p=0.1)
-    grid, _ = init_state(u0, 0.0, 0.0, cfg, 0.1)
-    with pytest.raises(ValueError, match="m_p"):
-        compute_dt(grid, ParticleState(h=0.0, v=0.0, m_p=1e-9), cfg, env)
-
-
-def test_compute_dt_returns_the_override():
-    u0 = PiecewiseConstant.riemann(1.0, -1.0, 0.0)
-    cfg = base_cfg(m_p=1e-6, dt_override=0.004)  # the mass step is smaller
-    grid, part = init_state(u0, 0.0, 0.0, cfg, 0.1)
-    assert compute_dt(grid, part, cfg, bounds_envelope(u0, 0.0, 1.0)) == 0.004
+    dt, ratio, key = time_step(cfg_imp, env, 0.1)
+    assert (dt, ratio, key) == (pytest.approx(0.05, rel=1e-15), 0.5, "'mu'")
 
 
 @pytest.mark.parametrize("bulk", BULKS)
@@ -224,7 +199,7 @@ def test_padded_window_holds_three_cells_per_step_beyond_the_datum(bulk, update)
     dx = 0.01
     traj = run(u0, 0.0, 0.0, cfg, dx)
     grid = traj.snapshots[0][1]
-    dt = compute_dt(grid, ParticleState(0.0, 0.0, cfg.m_p), cfg, traj.env)
+    dt = time_step(cfg, traj.env, dx)[0]
     assert (dt < 0.25 * cfg.mu * dx) is (update is VelocityUpdate.EXPLICIT)
     steps = len(traj.times) - 1
     assert steps == math.ceil(cfg.T / dt - 1e-9)
@@ -250,12 +225,9 @@ _LIGHT_IMPLICIT = dict(mu=0.5, m_p=0.002, velocity_update=VelocityUpdate.IMPLICI
             for dx, n, n_left in ((0.02, 1812, 906), (0.01, 3612, 1806), (0.005, 7212, 3606))
         ],
         (_DATUM, 0.2, dict(T=0.3, mu=0.1, bulk=BulkFluxKind.ENGQUIST_OSHER), 0.01, 1832, 916),
-        # overrides; the first wins over a mass step 48 times shorter
-        (_DATUM, 0.2, dict(T=0.25, dt_override=0.004, m_p=0.001), 0.01, 408, 204),
-        (_DATUM, 0.2, dict(T=0.7, dt_override=0.003, bulk=BulkFluxKind.RUSANOV), 0.01, 1432, 716),
     ],
 )
-def test_cfl_and_override_windows_keep_their_cell_counts(u0, v0, kw, dx, n, n_left):
+def test_cfl_windows_keep_their_cell_counts(u0, v0, kw, dx, n, n_left):
     # Pinned window sizes: the padding 3*T/ratio + 6*dx must keep its float
     # for every step the mass condition does not set, or the window moves
     # and the CLI's CSV bytes change.
@@ -276,7 +248,7 @@ def test_uniform_state_is_bit_exact_fixed_point(bulk, iface):
     cfg = base_cfg(T=0.0, bulk=bulk, iface=iface)
     grid, part = init_state(u0, 0.0, 0.5, cfg, 0.1)
     env = bounds_envelope(u0, 0.5, 1.0)
-    dt = compute_dt(grid, part, cfg, env)
+    dt = time_step(cfg, env, grid.dx)[0]
     g, p = grid, part
     for _ in range(20):
         g, p = step(g, p, cfg, dt)
@@ -293,12 +265,49 @@ def test_uniform_state_rusanov_shifted_family_keeps_velocity_only():
     cfg = base_cfg(T=2.0, bulk=BulkFluxKind.RUSANOV, iface=InterfaceFluxKind.G1_ONLY)
     grid, part = init_state(u0, 0.0, 0.5, cfg, 0.1)
     env = bounds_envelope(u0, 0.5, 1.0)
-    dt = compute_dt(grid, part, cfg, env)
+    dt = time_step(cfg, env, grid.dx)[0]
     g, p = grid, part
     for _ in range(50):
         g, p = step(g, p, cfg, dt)
         assert p.v == 0.5
     assert not np.array_equal(g.u, grid.u)
+
+
+def test_step_takes_the_particle_mass_from_the_config():
+    # The particle state is (h, v); the config owns the mass.  One state
+    # stepped under two configs that differ only in m_p gets each config's
+    # velocity update v + (dt/m_p)*(fm - fp).
+    assert [f.name for f in dataclasses.fields(ParticleState)] == ["h", "v"]
+    grid = FluidGrid(u=[1.0] * 6 + [-1.0] * 6, dx=0.1, left_edge=-0.6, j_min=-5)
+    part = ParticleState(h=0.0, v=0.5)
+    dt = 0.01
+    velocities = []
+    for m_p in (1.0, 0.25):
+        cfg = base_cfg(m_p=m_p)
+        fm, fp = interface_fluxes(cfg.iface, cfg.bulk, 1.0, -1.0, part.v, cfg.lam)
+        _, p = step(grid, part, cfg, dt)
+        assert p.v == part.v + (dt / m_p) * (float(fm) - float(fp))
+        velocities.append(p.v)
+    assert velocities[0] != velocities[1]
+
+
+def test_step_implicit_takes_the_particle_mass_from_the_config():
+    # The implicit update solves w = v + (dt/m_p)*(g_minus - g_plus)(w) with
+    # the config's m_p: one state under two configs that differ only in m_p
+    # gets a root of each config's residual, up to a few roundings.
+    grid = FluidGrid(u=[1.0] * 6 + [-1.0] * 6, dx=0.1, left_edge=-0.6, j_min=-5)
+    part = ParticleState(h=0.0, v=0.5)
+    dt = 0.01
+    velocities = []
+    for m_p in (1.0, 0.001):
+        cfg = base_cfg(m_p=m_p, velocity_update=VelocityUpdate.IMPLICIT)
+        _, p = step_implicit(grid, part, cfg, dt)
+        fm, fp = interface_fluxes(cfg.iface, cfg.bulk, 1.0, -1.0, p.v, cfg.lam)
+        scale = dt / m_p
+        resid = p.v - part.v - scale * (float(fm) - float(fp))
+        assert abs(resid) <= 1e-12 * (1.0 + scale * (abs(fm) + abs(fp)))
+        velocities.append(p.v)
+    assert velocities[0] != velocities[1]
 
 
 def test_standing_interface_profile_is_preserved():
@@ -307,7 +316,7 @@ def test_standing_interface_profile_is_preserved():
     cfg = base_cfg(T=0.0, iface=InterfaceFluxKind.G1_ONLY)
     grid, part = init_state(u0, 0.0, 0.0, cfg, 0.1)
     env = bounds_envelope(u0, 0.0, 1.0)
-    dt = compute_dt(grid, part, cfg, env)
+    dt = time_step(cfg, env, grid.dx)[0]
     g, p = step(grid, part, cfg, dt)
     assert p.v == 0.0
     assert np.array_equal(g.u, grid.u)
@@ -322,12 +331,12 @@ def test_momentum_telescopes_across_one_step(domain, rng):
     cfg = base_cfg(T=1.0, **kw)
     grid, part = init_state(u0, 0.0, 0.2, cfg, 0.1)
     env = bounds_envelope(u0, 0.2, 1.0)
-    dt = compute_dt(grid, part, cfg, env)
-    before = total_momentum(grid, part)
+    dt = time_step(cfg, env, grid.dx)[0]
+    before = total_momentum(grid, part, cfg)
     g, p = grid, part
     for _ in range(5):
         g, p = step(g, p, cfg, dt)
-    assert total_momentum(g, p) == pytest.approx(before, abs=1e-13)
+    assert total_momentum(g, p, cfg) == pytest.approx(before, abs=1e-13)
 
 
 def test_guard_triggers_when_padding_too_narrow():
@@ -336,7 +345,7 @@ def test_guard_triggers_when_padding_too_narrow():
     cfg = base_cfg(T=0.05)  # padding sized for a much shorter run
     grid, part = init_state(u0, 0.0, 0.0, cfg, 0.1)
     env = bounds_envelope(u0, 0.0, 1.0)
-    dt = compute_dt(grid, part, cfg, env)
+    dt = time_step(cfg, env, grid.dx)[0]
     g, p = grid, part
     steps = 0
     with pytest.raises(BoundaryGuardError):
@@ -369,7 +378,7 @@ def test_guard_on_a_hand_built_grid_with_a_disturbed_guard_zone(cells, raises):
     # the far field before or after the step; a step it lets through
     # matches the whole-window loop, leak included.
     grid = FluidGrid(u=np.array(cells), dx=0.1, left_edge=-0.6, j_min=-5)
-    part = ParticleState(h=0.0, v=0.0, m_p=1.0)
+    part = ParticleState(h=0.0, v=0.0)
     cfg = base_cfg()
     if raises:
         with pytest.raises(BoundaryGuardError):
@@ -413,16 +422,16 @@ def test_a_padded_step_keeps_the_momentum_identity_or_refuses(
     for i, value in disturbed.items():
         u[i % n] = value
     grid = FluidGrid(u=u, dx=0.1, left_edge=-0.1 * (p0 + 1), j_min=-p0)
-    part = ParticleState(h=0.0, v=v, m_p=m_p)
+    part = ParticleState(h=0.0, v=v)
     cfg = base_cfg(m_p=m_p, bulk=bulk, iface=iface, velocity_update=update)
     advance = step if update is VelocityUpdate.EXPLICIT else step_implicit
     try:
         g, p = advance(grid, part, cfg, 0.01)
     except BoundaryGuardError:
         return
-    before = total_momentum(grid, part)
+    before = total_momentum(grid, part, cfg)
     scale = 1.0 + grid.dx * float(np.abs(u).sum()) + m_p * abs(v)
-    assert abs(total_momentum(g, p) + g.leak - before) <= 1e-12 * scale
+    assert abs(total_momentum(g, p, cfg) + g.leak - before) <= 1e-12 * scale
 
 
 @settings(max_examples=200, deadline=None)
@@ -448,7 +457,7 @@ def test_a_periodic_step_with_the_particle_at_either_end_of_the_box(
     n = len(cells)
     j_min = 2 - n if right else 0
     grid = FluidGrid(u=np.array(cells), dx=0.1, left_edge=0.1 * j_min, j_min=j_min, periodic=True)
-    part = ParticleState(h=0.1, v=v, m_p=m_p)
+    part = ParticleState(h=0.1, v=v)
     cfg = base_cfg(m_p=m_p, bulk=bulk, iface=iface, velocity_update=update,
                    domain=Domain.PERIODIC, half_width=0.1 * n / 2)
     u_ref, v_ref, _ = _loop_reference_step(grid, part, cfg, 0.01)
@@ -499,7 +508,7 @@ def test_a_small_padded_step_has_the_bits_of_the_loop_reference(
     p0 = sides[0] + at % (len(active) - 1)
     u = np.array([first] * sides[0] + active + [last] * sides[1])
     grid = FluidGrid(u=u, dx=0.1, left_edge=-0.1 * (p0 + 1), j_min=-p0)
-    part = ParticleState(h=0.0, v=v, m_p=m_p)
+    part = ParticleState(h=0.0, v=v)
     cfg = base_cfg(m_p=m_p, bulk=bulk, iface=iface, velocity_update=update)
     advance = step if update is VelocityUpdate.EXPLICIT else step_implicit
     u_ref, v_ref, leak_ref = _loop_reference_step(grid, part, cfg, 0.01)
@@ -520,7 +529,7 @@ def test_a_padded_step_allocates_its_active_cells_not_its_window():
     cfg = base_cfg(m_p=1e-3)
     grid, part = init_state(_COMPACT, 0.0, 0.2, cfg, 0.01)
     assert (grid.n, grid.hi - grid.lo) == (74482, 70)
-    dt = compute_dt(grid, part, cfg, bounds_envelope(_COMPACT, 0.2, 1.0, split=0.0))
+    dt = time_step(cfg, bounds_envelope(_COMPACT, 0.2, 1.0, split=0.0), grid.dx)[0]
     grid, part = step(grid, part, cfg, dt)  # the first call of every code path
     tracemalloc.start()
     try:
@@ -665,7 +674,7 @@ def _loop_reference_step(grid, part, cfg, dt):
         u_new[0] = u_new[1]
         u_new[-1] = u_new[-2]
         leak = dt * (flux(n - 2, n - 1) - flux(0, 1))
-    v_new = part.v + (dt / part.m_p) * (fm - fp)
+    v_new = part.v + (dt / cfg.m_p) * (fm - fp)
     return u_new, v_new, leak
 
 
@@ -678,7 +687,7 @@ def test_step_matches_loop_reference(domain, bulk, rng):
         cfg = base_cfg(T=0.2, bulk=bulk, iface=iface, domain=domain, **kw)
         grid, part = init_state(u0, 0.0, 0.2, cfg, 0.1)
         env = bounds_envelope(u0, 0.2, 1.0)
-        dt = compute_dt(grid, part, cfg, env)
+        dt = time_step(cfg, env, grid.dx)[0]
         for _ in range(3):
             u_ref, v_ref, _ = _loop_reference_step(grid, part, cfg, dt)
             grid, part = step(grid, part, cfg, dt)
@@ -704,7 +713,7 @@ def _reference_run(u0, h0, v0, cfg, dx):
 
     env = bounds_envelope(u0, v0, cfg.lam, split=h0)
     grid, part = init_state(u0, h0, v0, cfg, dx)
-    dt_nom = compute_dt(grid, part, cfg, env)
+    dt_nom = time_step(cfg, env, grid.dx)[0]
     p0 = grid.particle_index
 
     def record(g, p, t, bflux, accel):
@@ -717,7 +726,7 @@ def _reference_run(u0, h0, v0, cfg, dx):
             p.h,
             p.v,
             bflux,
-            p.m_p * p.v + g.dx * math.fsum(u.tolist()),
+            cfg.m_p * p.v + g.dx * math.fsum(u.tolist()),
             tv,
             float(u.min()),
             float(u.max()),
@@ -741,7 +750,7 @@ def _reference_run(u0, h0, v0, cfg, dx):
             periodic=grid.periodic,
         )
         prev_v = part.v
-        part = ParticleState(h=part.h + part.v * dt, v=v_new, m_p=part.m_p)
+        part = ParticleState(h=part.h + part.v * dt, v=v_new)
         t = t_next
         states.append((t, grid.u))
         rows.append(record(grid, part, t, rows[-1][3] + leak, abs(part.v - prev_v) / dt))
@@ -842,9 +851,9 @@ def _record_blocks(monkeypatch, cells=None):
     blocks = []
     real = scheme.make_record
 
-    def make_record(block, lam):
+    def make_record(block, cfg):
         blocks.append(list(block.states))
-        return real(block, lam)
+        return real(block, cfg)
 
     monkeypatch.setattr(scheme, "make_record", make_record)
     return blocks
@@ -948,11 +957,13 @@ def test_run_refuses_a_periodic_box_below_the_guard_before_laying_it_out():
 
 
 def test_init_state_counts_whole_cells_against_the_limit():
-    # Unrounded, the window holds 4999999.3 + 5000000.6 < 10^7 cells; each
-    # side rounds up to whole cells, 10000001 in all, which is refused.
+    # The CFL ratio mu = 0.05 sets the step (L = 4, so the mass step 1/16 is
+    # longer).  Unrounded, the window holds 4999999.3 + 5000000.6 < 10^7
+    # cells; each side rounds up to whole cells, 10000001 in all, which is
+    # refused.
     u0 = PiecewiseConstant(breakpoints=(0.0, 1.3), values=(0.0, 1.0, 0.0))
-    cfg = base_cfg(T=4999993.3 / 3.0, dt_override=1.0)
-    with pytest.raises(ValueError, match="would hold 10000001 cells"):
+    cfg = base_cfg(T=4999993.3 * 0.05 / 3.0, mu=0.05)
+    with pytest.raises(ValueError, match="would hold 10000001 cells.*check 'T', 'mu'"):
         init_state(u0, 0.0, 0.0, cfg, 1.0)
 
 
@@ -985,7 +996,7 @@ def test_active_range_holds_every_changed_cell(values, cuts, v0, bulk, iface, up
     u0 = PiecewiseConstant(breakpoints=bps, values=tuple(values[: len(bps) + 1]))
     cfg = base_cfg(T=0.3, bulk=bulk, iface=iface, velocity_update=update)
     grid, part = init_state(u0, 0.0, v0, cfg, 0.05)
-    dt = compute_dt(grid, part, cfg, bounds_envelope(u0, v0, 1.0))
+    dt = time_step(cfg, bounds_envelope(u0, v0, 1.0), grid.dx)[0]
     advance = step if update is VelocityUpdate.EXPLICIT else step_implicit
     for _ in range(12):
         grid, part = advance(grid, part, cfg, dt)
@@ -1060,7 +1071,7 @@ def test_implicit_solve_brackets_and_ends_at_its_rounding_bound(monkeypatch):
                     assert resid(lo)[0] < 0.0 < resid(hi)[0]
                     calls[0] = 0
                     w = scheme._solve_implicit_velocity(
-                        u0, u1, ParticleState(h=0.0, v=v, m_p=m_p), cfg, dt
+                        u0, u1, ParticleState(h=0.0, v=v), cfg, dt
                     )[0]
                     assert calls[0] <= 150
                     assert lo <= w <= hi
@@ -1095,7 +1106,7 @@ def test_implicit_solve_makes_fewer_calls_on_the_mean_than_from_the_bracket_ends
                     u0, u1, v = (centre * rng.choice([-1, 1]) + rng.uniform(-3, 3, 3)).tolist()
                     cfg = base_cfg(lam=lam, m_p=m_p, bulk=bulk, iface=iface)
                     scheme._solve_implicit_velocity(
-                        u0, u1, ParticleState(h=0.0, v=v, m_p=m_p), cfg, dt
+                        u0, u1, ParticleState(h=0.0, v=v), cfg, dt
                     )
     assert calls[0] <= 10147
 
@@ -1107,13 +1118,13 @@ def test_an_implicit_step_at_equilibrium_makes_one_flux_call(monkeypatch):
     # bound, and returns v^n with that interface pair, which the step reuses.
     calls = _count_interface_fluxes(monkeypatch)
     cfg = base_cfg(velocity_update=VelocityUpdate.IMPLICIT)
-    w = scheme._solve_implicit_velocity(0.3, 0.3, ParticleState(h=0.0, v=0.3, m_p=1.0), cfg, 0.01)
+    w = scheme._solve_implicit_velocity(0.3, 0.3, ParticleState(h=0.0, v=0.3), cfg, 0.01)
     assert w[0] == 0.3
     assert calls[0] == 1
     u0 = PiecewiseConstant.riemann(1.0, -1.0, 0.0)
     cfg = base_cfg(mu=0.5, m_p=0.002, velocity_update=VelocityUpdate.IMPLICIT)
     grid, part = init_state(u0, 0.0, 0.5, cfg, 0.005)
-    dt = compute_dt(grid, part, cfg, bounds_envelope(u0, 0.5, 1.0))
+    dt = time_step(cfg, bounds_envelope(u0, 0.5, 1.0), grid.dx)[0]
     for _ in range(100):
         grid, part = step_implicit(grid, part, cfg, dt)
     for _ in range(5):
@@ -1131,8 +1142,7 @@ def test_implicit_light_particle_stays_bounded():
 
     L = lipschitz_bound(BulkFluxKind.GODUNOV, env.m, env.M, env.v_lo, env.v_hi, 1.0)
     dt = 10.0 * 1e-3 / (4.0 * L)  # ten times the explicit mass limit
-    cfg = base_cfg(T=100 * dt, m_p=1e-3, velocity_update=VelocityUpdate.IMPLICIT,
-                   dt_override=dt)
+    cfg = base_cfg(T=100 * dt, mu=dt / 0.05, m_p=1e-3, velocity_update=VelocityUpdate.IMPLICIT)
     traj = run(u0, 0.0, 0.5, cfg, 0.05)
     assert np.all(traj.v >= env.v_lo - 1e-10)
     assert np.all(traj.v <= env.v_hi + 1e-10)
@@ -1182,9 +1192,20 @@ def test_run_snapshot_policy():
     assert ts == sorted(set(ts))
 
 
-def test_run_with_dt_override_truncates_final_step():
+@pytest.mark.parametrize("times", [(-0.1,), (0.2, 0.5 + 1e-9)])
+def test_run_refuses_snapshot_times_outside_the_run(times):
+    # run alone owns the range [0, T] of the snapshot times; its refusal
+    # names the config key.
     u0 = PiecewiseConstant.riemann(1.0, -1.0, 0.0)
-    cfg = base_cfg(T=0.25, dt_override=0.004)
+    with pytest.raises(ValueError, match="key 'snapshots'"):
+        run(u0, 0.0, 0.5, base_cfg(T=0.5), 0.05, snapshot_times=times)
+
+
+def test_run_truncates_final_step():
+    # mu = 0.04 is below the CFL bound 1/6 and the mass step 1/12 is longer,
+    # so every step but the last is 0.004 and 0.25 ends on a half step.
+    u0 = PiecewiseConstant.riemann(1.0, -1.0, 0.0)
+    cfg = base_cfg(T=0.25, mu=0.04)
     traj = run(u0, 0.0, 0.5, cfg, 0.1)
     assert traj.times[-1] == 0.25
     dts = np.diff(traj.times)
@@ -1254,7 +1275,7 @@ def test_invariant_region_and_tv_budget(bulk, rng):
         cfg = base_cfg(T=0.0, bulk=bulk, mu=0.4)
         grid, part = init_state(u0, 0.0, v0, cfg, 0.05)
         env = bounds_envelope(u0, v0, 1.0)
-        dt = compute_dt(grid, part, cfg, env)
+        dt = time_step(cfg, env, grid.dx)[0]
         cfg = base_cfg(T=40 * dt, bulk=bulk, mu=0.4)
         grid, part = init_state(u0, 0.0, v0, cfg, 0.05)
         tv0 = total_variation(grid)
@@ -1310,11 +1331,11 @@ def test_order_preservation_over_every_scheme(bulk, iface, update):
         dt = 0.99 * min(0.5 * dx / L, m_p / (2.0 * B3), m_p / (4.0 * L))
         cfg = base_cfg(
             mu=dt / dx, m_p=m_p, bulk=bulk, iface=iface, velocity_update=update,
-            domain=Domain.PERIODIC, half_width=n_half * dx, dt_override=dt,
+            domain=Domain.PERIODIC, half_width=n_half * dx,
         )
         lo, hi = (
             (FluidGrid(u=u, dx=dx, left_edge=-n_half * dx, j_min=1 - n_half, periodic=True),
-             ParticleState(h=0.0, v=v, m_p=m_p))
+             ParticleState(h=0.0, v=v))
             for u, v in ((u_lo, v_lo), (u_hi, v_hi))
         )
         for _ in range(50):
