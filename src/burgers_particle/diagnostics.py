@@ -375,21 +375,28 @@ def entropy_residual(
     interface fluxes entering only through the two cells adjacent to the
     particle (eps_j = 1 there), and A = 2*L_c + 2*dx/dt with L_c the flux
     Lipschitz bound over the state hull.  Nonpositive residuals certify the
-    inequality; the distance term vanishes when c is admissible.
+    inequality; the distance term vanishes when c is admissible.  All of it
+    is taken at the step's flux speed: v^n, or for an implicit step the next
+    particle's v, the solved speed to within the solve's rounding bound.
 
     Returns the residuals of all flux-updated cells (interior cells for a
-    padded grid, every cell for a periodic one).
+    padded grid, every cell for a periodic one, which refuses c_minus !=
+    c_plus: no particle sits at its wrap face, where c would jump too).
     """
+    from .scheme import VelocityUpdate
+
     grid, particle = prev
-    grid2, _ = next
+    grid2, particle2 = next
     if grid.u.shape != grid2.u.shape or grid.dx != grid2.dx:
         raise ValueError("mismatched grids")
+    c_minus, c_plus = float(c[0]), float(c[1])
+    if grid.periodic and c_minus != c_plus:
+        raise ValueError(f"reference c = {tuple(c)!r} must have c_minus == c_plus on a periodic box")
     u, u2 = grid.u, grid2.u
     n = u.shape[0]
-    v = particle.v
+    v = (particle2 if cfg.velocity_update is VelocityUpdate.IMPLICIT else particle).v
     mu = dt / grid.dx
     p0 = grid.particle_index
-    c_minus, c_plus = float(c[0]), float(c[1])
     c_arr = np.where(np.arange(n) <= p0, c_minus, c_plus)
     a, b = (0, n) if grid.periodic else (1, n - 1)
 
@@ -403,15 +410,8 @@ def entropy_residual(
     bot, gm_bot, gp_bot = faces(np.minimum(u, c_arr))
     G = flux_difference(top - bot, p0 - a, gm_top - gm_bot, gp_top - gp_bot)
 
-    L_c = lipschitz_bound(
-        cfg.bulk,
-        min(float(u.min()), c_minus, c_plus),
-        max(float(u.max()), c_minus, c_plus),
-        v,
-        v,
-        cfg.lam,
-    )
-    A = 2.0 * L_c + 2.0 / mu
+    hull = min(float(u.min()), c_minus, c_plus), max(float(u.max()), c_minus, c_plus)
+    A = 2.0 * lipschitz_bound(cfg.bulk, *hull, v, v, cfg.lam) + 2.0 / mu
     dist = dist1_to_H((c_minus, c_plus), v, cfg.lam)
     eps = np.zeros(b - a)
     eps[p0 - a : p0 - a + 2] = 1.0

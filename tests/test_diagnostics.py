@@ -40,8 +40,10 @@ from burgers_particle.scheme import (
     ParticleState,
     PiecewiseConstant,
     SchemeConfig,
+    VelocityUpdate,
     init_state,
     step,
+    step_implicit,
     time_step,
 )
 from conftest import random_piecewise
@@ -465,7 +467,8 @@ def _single_step(u0, v0, cfg0, dx=0.05):
     grid, part = init_state(u0, 0.0, v0, cfg0, dx)
     env = bounds_envelope(u0, v0, cfg0.lam)
     dt = time_step(cfg0, env, grid.dx)[0]
-    nxt = step(grid, part, cfg0, dt)
+    advance = step_implicit if cfg0.velocity_update is VelocityUpdate.IMPLICIT else step
+    nxt = advance(grid, part, cfg0, dt)
     return (grid, part), nxt, dt, env
 
 
@@ -511,6 +514,33 @@ def test_entropy_residual_admissible_reference(rng):
         r = entropy_residual(prev, nxt, cfg, dt, c)
         worst = max(worst, float(r.max()))
     assert worst <= 1e-10
+
+
+@pytest.mark.parametrize("m_p", [1.0, 1e-3])
+def test_entropy_residual_takes_an_implicit_step_at_its_solved_flux_speed(m_p, rng):
+    # G1 references (t, t - lam) are admissible at every speed, so each
+    # residual of an implicit step is at most rounding once the fluxes run
+    # at the speed the step solved for.  At v^n the worst residual here read
+    # 0.22 at m_p = 1 and 31 at m_p = 1e-3.
+    cfg = SchemeConfig(lam=1.0, mu=0.4, T=0.1, m_p=m_p, velocity_update=VelocityUpdate.IMPLICIT)
+    worst = -np.inf
+    for _ in range(20):
+        u0 = random_piecewise(rng)
+        prev, nxt, dt, env = _single_step(u0, float(rng.uniform(-1, 1)), cfg)
+        t = float(rng.uniform(env.m, env.M))
+        worst = max(worst, float(entropy_residual(prev, nxt, cfg, dt, (t, t - 1.0)).max()))
+    assert worst <= 1e-10
+
+
+def test_entropy_residual_refuses_a_reference_jump_on_a_periodic_box():
+    # No particle sits at a periodic box's wrap face, where c_minus meets
+    # c_plus again, so only an equal pair has residuals there.
+    u0 = PiecewiseConstant.riemann(1.0, -0.5, 0.3)
+    cfg = SchemeConfig(lam=1.0, mu=0.4, T=0.1, m_p=1.0, domain=Domain.PERIODIC, half_width=1.0)
+    prev, nxt, dt, _ = _single_step(u0, 0.2, cfg)
+    assert entropy_residual(prev, nxt, cfg, dt, (0.5, 0.5)).shape == (prev[0].n,)
+    with pytest.raises(ValueError, match=r"reference c = \(0\.5, -0\.5\)"):
+        entropy_residual(prev, nxt, cfg, dt, (0.5, -0.5))
 
 
 def _assembled_entropy_residual(prev, next, cfg, dt, c):
@@ -587,6 +617,10 @@ def test_entropy_residual_bits_match_its_own_flux_assembly(bulk, iface, periodic
         prev, nxt, dt, env = _single_step(u0, v0, cfg)
         t = float(rng.uniform(env.m, env.M))
         c = [(t, t), (t, t - 1.0), (t, float(rng.uniform(env.m, env.M)))][k % 3]
+        if periodic and c[0] != c[1]:  # a jump at the wrap face too: refused
+            with pytest.raises(ValueError, match="reference c = "):
+                entropy_residual(prev, nxt, cfg, dt, c)
+            continue
         got = entropy_residual(prev, nxt, cfg, dt, c)
         assert got.tobytes() == _assembled_entropy_residual(prev, nxt, cfg, dt, c).tobytes()
 
