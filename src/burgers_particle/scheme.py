@@ -274,8 +274,10 @@ class FluidGrid:
     def cell_edges(self) -> np.ndarray:
         return self.left_edge + self.dx * np.arange(self.n + 1)
 
-    def cell_centers(self) -> np.ndarray:
-        return self.left_edge + self.dx * (np.arange(self.n) + 0.5)
+    def cell_centers(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """Centers of cells start..stop-1, all by default; elementwise, so a
+        part has the bits of the whole."""
+        return self.left_edge + self.dx * (np.arange(start, self.n if stop is None else stop) + 0.5)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from burgers_particle import cli
 from burgers_particle.cli import (
@@ -301,7 +303,76 @@ def _old_fmt(x) -> str:
         return x
     if isinstance(x, (int, np.integer)):
         return str(int(x))
+    if isinstance(x, tuple):
+        return "(" + ",".join(map(_old_fmt, x)) + ")"
     return format(float(x), ".17g")
+
+
+def _expected_csv(header, columns) -> bytes:
+    rows = zip(*columns)
+    return ("".join(",".join(map(_old_fmt, row)) + "\n" for row in [header, *rows])).encode()
+
+
+def _texts(values) -> list[str]:
+    text = cli._float_texts(np.asarray(values, dtype=float))
+    return [row[row != 0].tobytes().decode() for row in text]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
+def test_float_texts_are_the_17_digit_format(values):
+    # Subnormals, tiny values and values >= 1e16 included; a numpy warning
+    # would fail the test.
+    assert _texts(values) == [format(v, ".17g") for v in values]
+
+
+def _bench(monkeypatch):
+    """bench/run.py as a module: its workload configs are built there."""
+    monkeypatch.syspath_prepend(str(BENCH))  # bench/run.py imports spans
+    spec = importlib.util.spec_from_file_location("bench_run", BENCH / "run.py")
+    bench = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "bench_run", bench)
+    spec.loader.exec_module(bench)
+    return bench
+
+
+def test_float_texts_are_the_17_digit_format_at_the_edges(monkeypatch):
+    ulp = lambda x: [np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)]
+    values = [0.0, -0.0, 5e-324, -5e-324, *ulp(1e-4), *ulp(1e16), 9.99999999999999999e15]
+    for k in range(-5, 18):
+        values += [10.0**k * (1 - 2.0**-52), 10.0**k, 10.0**k * (1 + 2.0**-52), *ulp(10.0**k)]
+    # Exact ties at the 17th digit, which go to the even digit: m*2**-(k + 1)
+    # with m odd in [10**(16 - k), 10**(17 - k)) has 17 digits and a half at
+    # 10**k.
+    assert format(1234567890123456.25, ".17g") == "1234567890123456.2"
+    values.append(1234567890123456.25)
+    rng = np.random.default_rng(0)
+    for k in range(1, 21):
+        low = -(-(2 ** (k + 1) * 10**16) // 10**k)
+        m = rng.integers(low, min(10 * low, 2**53), 200) | 1
+        values += list(m * 2.0 ** -(k + 1))
+    values += list(rng.integers(0, 2**64, 20_000, dtype=np.uint64).view(float))
+    values += list(rng.standard_normal(20_000) * 10.0 ** rng.integers(-6, 18, 20_000))
+    finite = [v for v in values if np.isfinite(v)]
+    expected = [format(v, ".17g") for v in finite]
+    assert _texts(finite) == expected
+    # A log10 one ulp off either way, as another libm may give next to a
+    # power of ten: the digit count corrects the exponent.
+    log10 = np.log10
+    for toward in (-np.inf, np.inf):
+        with monkeypatch.context() as m:
+            m.setattr(np, "log10", lambda a: np.nextafter(log10(a), toward))
+            assert _texts(finite) == expected
+    # Every cell center of the compact and periodic workloads' snapshots.
+    bench = _bench(monkeypatch)
+    for config in (bench.compact_run, bench.periodic_dense):
+        cfg = parse_config(config(0, False))
+        if not cfg.snapshot_times:
+            cfg.snapshot_times = (cfg.scheme.T / 2,)
+        traj = cli.run(cfg.u0, cfg.h0, cfg.v0, cfg.scheme, cfg.dx, snapshot_times=cfg.snapshot_times)
+        for _, grid in traj.snapshots:
+            x = grid.cell_centers()
+            assert _texts(x) == [format(v, ".17g") for v in x.tolist()]
 
 
 def test_csv_writer_bytes_match_the_per_value_formatter(tmp_path):
@@ -313,6 +384,65 @@ def test_csv_writer_bytes_match_the_per_value_formatter(tmp_path):
     assert (tmp_path / "t.csv").read_bytes() == expected.encode("utf-8")
     cli._write_csv(tmp_path / "rows.csv", ["a", "b", "c"], zip(*rows))
     assert (tmp_path / "rows.csv").read_bytes() == expected.encode("utf-8")
+    # Columns one row short of a chunk, a chunk and one row past it; a chunk
+    # holds _CSV_CELLS cells.
+    rng = np.random.default_rng(1)
+    for ncols in (2, 7):
+        chunk = cli._CSV_CELLS // ncols
+        for n in (chunk - 1, chunk, chunk + 1):
+            columns = [rng.standard_normal(n) * 10.0 ** rng.integers(-6, 18, n)
+                       for _ in range(ncols)]
+            header = [f"c{i}" for i in range(ncols)]
+            cli._write_csv(tmp_path / "chunk.csv", header, columns)
+            assert (tmp_path / "chunk.csv").read_bytes() == _expected_csv(header, columns)
+    # Snapshots: active ranges cut by a chunk boundary, at lo = 3 and at
+    # hi = n - 3, and a periodic grid, written as cmd_run writes them.
+    chunk, n = cli._CSV_CELLS // 2, 3000
+    for lo, hi, periodic in [(chunk - 5, chunk + 70, False), (3, 40, False), (n - 90, n - 3, False),
+                             (3, n - 3, False), (0, n, True)]:
+        u = np.full(n, 0.75)
+        u[hi:] = -0.25
+        u[lo:hi] = rng.uniform(-1.0, 1.0, hi - lo)
+        grid = FluidGrid(u, 0.01, -13.37, -lo, periodic=periodic)  # the particle at lo
+        assert (grid.lo, grid.hi) == (lo, hi)
+        cli._write_csv(tmp_path / "u.csv", ["x", "u"], [grid.cell_centers, grid])
+        expected = _expected_csv(["x", "u"], [grid.cell_centers(), grid.u])
+        assert (tmp_path / "u.csv").read_bytes() == expected
+    # The probe and convergence reports' columns: strings, bools, ints, ""
+    # cells, tuples of floats and float columns.
+    n = chunk + 3
+    columns = [
+        ["maximality"] * n,
+        [bool(b) for b in rng.integers(0, 2, n)],
+        [int(i) for i in rng.integers(-10**6, 10**6, n)],
+        ["" if i % 3 == 0 else float(v) for i, v in enumerate(rng.standard_normal(n))],
+        [(float(a), float(b)) for a, b in rng.standard_normal((n, 2))],
+        [float(v) for v in rng.standard_normal(n)],
+        ["criterion vs classification"] * n,
+    ]
+    header = ["probe", "passes", "count", "order_u", "point", "err", "status"]
+    cli._write_csv(tmp_path / "mix.csv", header, columns)
+    assert (tmp_path / "mix.csv").read_bytes() == _expected_csv(header, columns)
+
+
+def test_csv_writer_memory_stays_chunk_sized(tmp_path):
+    # A 10**6-cell padded snapshot (x and u, 10**5 active cells): the peak of
+    # what the writer allocates is bounded by its chunks, not by the rows.
+    import tracemalloc
+
+    n = 10**6
+    u = np.zeros(n)
+    u[n // 2 - 50_000 : n // 2 + 50_000] = np.random.default_rng(2).uniform(-1.0, 1.0, 100_000)
+    grid = FluidGrid(u, 1e-4, -50.0, -n // 2)
+    del u
+    tracemalloc.start()
+    try:
+        cli._write_csv(tmp_path / "u.csv", ["x", "u"], [grid.cell_centers, grid])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert (tmp_path / "u.csv").read_bytes().count(b"\n") == n + 1
 
 
 def test_snapshot_files_format_every_cell_as_the_writer_does(tmp_path):
@@ -687,11 +817,7 @@ def test_run_writes_the_reference_bytes(workload, tmp_path, monkeypatch):
     # The benchmark's byte-identity oracle: the compact and the seed-0
     # periodic configs, built by bench/run.py itself, write CSV files whose
     # SHA-256 digests are those stored in bench/reference/digests.json.
-    monkeypatch.syspath_prepend(str(BENCH))  # bench/run.py imports spans
-    spec = importlib.util.spec_from_file_location("bench_run", BENCH / "run.py")
-    bench = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, "bench_run", bench)
-    spec.loader.exec_module(bench)
+    bench = _bench(monkeypatch)
     digests = json.loads((BENCH / "reference" / "digests.json").read_text())
     assert digests["seed"] == 0
     config = {"compact-run": bench.compact_run, "periodic-dense": bench.periodic_dense}[workload]
@@ -701,3 +827,21 @@ def test_run_writes_the_reference_bytes(workload, tmp_path, monkeypatch):
     assert main(["run", str(cfg_path), "--out", str(out)]) == 0
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
     assert written == digests["workloads"][workload]
+
+
+def test_light_explicit_run_writes_the_recorded_bytes(tmp_path, capsys):
+    # The mass-bound explicit regime, which no benchmark workload runs: the
+    # compact datum at mass = 1e-3, where the mass condition sets the step.
+    # Its accel column holds zeros and values below 1e-4.  The digests were
+    # recorded from the per-value formatter's output; CI checks the installed
+    # entry point against the same file with sha256sum -c.
+    tests = Path(__file__).resolve().parent
+    out = tmp_path / "out"
+    assert main(["run", str(tests / "light_explicit.cfg"), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    lines = (tests / "light_explicit.sha256").read_text().splitlines()
+    recorded = dict(line.split()[::-1] for line in lines)
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert written == recorded
+    accel = np.loadtxt(out / "particle.csv", delimiter=",", skiprows=1, usecols=5)
+    assert (accel == 0).any() and ((accel != 0) & (abs(accel) < 1e-4)).any()
