@@ -25,7 +25,7 @@ import argparse
 import math
 import sys
 from dataclasses import dataclass
-from itertools import chain, product
+from itertools import chain, pairwise, product
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +36,7 @@ from .diagnostics import (
     convergence_study,
     dissipativity_probe,
     maximality_probe,
+    refuse_overflow,
 )
 from .flux import BulkFluxKind, InterfaceFluxKind
 from .scheme import (
@@ -357,10 +358,14 @@ def _command(out_dir: Path, work) -> int:
 def cmd_run(cfg: ExperimentConfig, out_dir: Path) -> int:
     def work():
         traj = run(cfg.u0, cfg.h0, cfg.v0, cfg.scheme, cfg.dx, snapshot_times=cfg.snapshot_times)
-        names = [f"u_{t_snap:.6f}.csv" for t_snap, _ in traj.snapshots]
-        clash = [a for a, b in zip(names, names[1:]) if a == b]
-        if clash:
-            raise ConfigError(f"key 'snapshots': two stored times would share the file {clash[0]}")
+        times = [t for t, _ in traj.snapshots]  # t = 0, T and the requested times
+        names = [f"u_{t:.6f}.csv" for t in times]
+        for (a, name), (b, other) in pairwise(zip(times, names)):
+            if name == other:
+                raise ConfigError(
+                    f"keys 'T' and 'snapshots': the stored times {a!r} and {b!r} would share "
+                    f"the file {name}"
+                )
         particle = (
             "particle.csv",
             ["t", "h", "v", "momentum", "tv", "accel", "trace_germ_dist"],
@@ -415,6 +420,7 @@ def cmd_probe_germ(cfg: ExperimentConfig, out_dir: Path) -> int:
     def work():
         rng = np.random.default_rng(cfg.seed)
         lam = cfg.scheme.lam
+        refuse_overflow(3.0 * lam)  # before the draw; the probe checks the points it forms
         candidates = rng.uniform(-3.0 * lam, 3.0 * lam, size=(1000, 2))
         verdicts = maximality_probe(lam, 0.0, 10_000, candidates)
         rows = [

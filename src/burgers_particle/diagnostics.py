@@ -387,12 +387,12 @@ def entropy_residual(
 
     grid, particle = prev
     grid2, particle2 = next
-    if grid.u.shape != grid2.u.shape or grid.dx != grid2.dx:
+    u, u2 = grid.u, grid2.u
+    if u.shape != u2.shape or grid.dx != grid2.dx:
         raise ValueError("mismatched grids")
     c_minus, c_plus = float(c[0]), float(c[1])
     if grid.periodic and c_minus != c_plus:
         raise ValueError(f"reference c = {tuple(c)!r} must have c_minus == c_plus on a periodic box")
-    u, u2 = grid.u, grid2.u
     n = u.shape[0]
     v = (particle2 if cfg.velocity_update is VelocityUpdate.IMPLICIT else particle).v
     mu = dt / grid.dx
@@ -422,6 +422,18 @@ def entropy_residual(
     )
 
 
+def refuse_overflow(reach: float) -> None:
+    """Refuse a probe whose states q and speed v have |q| + |v| up to
+    ``reach`` when 8 * reach**2 is not finite.  Every flux q*q/2 - v*q of
+    such states, every difference of two and every difference of those is
+    within that bound, so no value the probe forms overflows otherwise."""
+    reach = float(reach)  # a numpy float would warn when the product overflows
+    if not 8.0 * reach * reach < math.inf:
+        raise ValueError(
+            f"the probe's states reach {reach:.9g}, where its fluxes overflow; check 'lambda'"
+        )
+
+
 def dissipativity_probe(
     iface: InterfaceFluxKind,
     bulk: BulkFluxKind,
@@ -434,11 +446,12 @@ def dissipativity_probe(
 
     Samples an n x n grid over ``box`` (applied to both trace arguments) and
     returns the most negative forward difference in each argument, 0.0 when
-    none is negative.
+    none is negative.  States whose fluxes would overflow are refused.
     """
     if n < 2:
         raise ValueError(f"need at least a 2x2 grid, got n={n}")
     lo, hi = box
+    refuse_overflow(max(abs(lo), abs(hi)) + lam + abs(v))  # the pair shifts states by lam
     a = np.linspace(lo, hi, n)
     A, B = np.meshgrid(a, a, indexing="ij")
     gm, gp = interface_fluxes(iface, bulk, A, B, v, lam)
@@ -653,16 +666,21 @@ def maximality_probe(
 
     ``candidates`` is a sequence of pairs or an (n, 2) array.  Each
     candidate makes one pass over the base sample; the adapted points and
-    refinements of blocks of candidates are evaluated together.
+    refinements of blocks of candidates are evaluated together.  Points
+    whose fluxes would overflow are refused before any is formed.
     """
     if n_h < 100:
         raise ValueError(f"need at least 100 sample points, got {n_h}")
+    pts = np.asarray(candidates, dtype=float).reshape(len(candidates), 2)
+    # For candidates within c the adapted line points reach 9c + 6 * lam (an
+    # anchor within c + lam, 4 * |a - b - lam| on, minus lam); the sample and
+    # its refinements stay within |v| + 6 * lam.
+    refuse_overflow(9.0 * float(np.abs(pts).max(initial=0.0)) + 6.0 * lam + 2.0 * abs(v))
     # rows, not columns: contiguous points read faster in the O(n_h) passes
     q = sample_maximal_subset(v, lam, n_h).T.copy()
     f_q = _f(q, v)
     n_line = max(2, n_h // 2)
     spacing = 8.0 * lam / (n_line - 1)
-    pts = np.asarray(candidates, dtype=float).reshape(len(candidates), 2)
     out = []
     for start in range(0, pts.shape[0], _PROBE_BLOCK):
         block = pts[start : start + _PROBE_BLOCK]
@@ -774,7 +792,8 @@ def _errors_against(traj, reference):
 def _l1_against_two_state(grid, x_jump, u_minus, u_plus) -> float:
     edges = grid.cell_edges()
     left = np.clip(x_jump - edges[:-1], 0.0, grid.dx)
-    err = np.abs(grid.u - u_minus) * left + np.abs(grid.u - u_plus) * (grid.dx - left)
+    u = grid.u
+    err = np.abs(u - u_minus) * left + np.abs(u - u_plus) * (grid.dx - left)
     return float(np.sum(err))
 
 
@@ -787,6 +806,5 @@ def _l1_between_grids(g1, g2) -> float:
     edges = edges[(edges >= lo) & (edges <= hi)]
     mids = 0.5 * (edges[:-1] + edges[1:])
     lens = np.diff(edges)
-    v1 = g1.u[np.clip(((mids - g1.left_edge) / g1.dx).astype(int), 0, len(g1.u) - 1)]
-    v2 = g2.u[np.clip(((mids - g2.left_edge) / g2.dx).astype(int), 0, len(g2.u) - 1)]
+    v1, v2 = (g.u[np.clip(((mids - g.left_edge) / g.dx).astype(int), 0, g.n - 1)] for g in (g1, g2))
     return float(np.sum(np.abs(v1 - v2) * lens))

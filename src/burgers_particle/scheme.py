@@ -180,24 +180,23 @@ class FluidGrid:
     ``[lo, hi)`` is the active range of array indices: every cell left of
     ``lo`` equals the far-field value ``first`` (``u[0]``), every cell from
     ``hi`` on equals ``last`` (``u[-1]``), and the particle cells are inside
-    it.  The grid stores the ``n`` cells in that compact form: ``cells``
-    holds those of the active range, so a padded step costs its active
-    cells, not its window.  ``u`` is the whole window, read-only, built on
-    first access.  The constructor derives the active range from ``u``
-    and reads -0.0 as 0.0.
+    it.  The compact form is the only stored form of the ``n`` cells:
+    ``cells`` holds those of the active range, so a padded step costs its
+    active cells and a grid holds no window.  ``u`` is the whole window,
+    read-only, built on each read.  The constructor derives the active range
+    from ``u``, keeps a copy of its active cells and reads -0.0 as 0.0.
     Periodic grids have no far field and use the full range.  ``leak`` is
     the momentum that left a padded window through its edges during the
     step that produced this grid (0 for a constructed or periodic grid).
     """
 
     __slots__ = ("cells", "first", "last", "n", "dx", "left_edge", "j_min", "periodic", "lo",
-                 "hi", "leak", "_u")
+                 "hi", "leak")
 
     def __init__(
         self, u: np.ndarray, dx: float, left_edge: float, j_min: int, periodic: bool = False
     ):
-        u = np.array(u, dtype=float)  # a copy: the caller's array must not move the cells
-        u += 0.0  # -0.0 to 0.0, as in PiecewiseConstant: a cell equal to the far field reads as it
+        u = np.asarray(u, dtype=float)
         if dx <= 0.0:
             raise ValueError(f"cell width must be positive, got dx={dx}")
         if u.ndim != 1 or u.shape[0] < 4:
@@ -218,11 +217,11 @@ class FluidGrid:
             np.all(np.isfinite(u[lo:hi])) and math.isfinite(u[0]) and math.isfinite(u[-1])
         ):
             raise ValueError("cell values must be finite")
-        u.flags.writeable = False
-        self._set(
-            u[lo:hi], float(u[0]), float(u[-1]), n, dx, left_edge, j_min, periodic, lo, hi, 0.0
-        )
-        self._u = u
+        # a copy the caller cannot move; + 0.0 reads -0.0 as 0.0, as in PiecewiseConstant
+        cells = u[lo:hi] + 0.0
+        cells.flags.writeable = False
+        first, last = float(u[0]) + 0.0, float(u[-1]) + 0.0
+        self._set(cells, first, last, n, dx, left_edge, j_min, periodic, lo, hi, 0.0)
 
     def _set(self, cells, first, last, n, dx, left_edge, j_min, periodic, lo, hi, leak):
         self.cells, self.first, self.last, self.n = cells, first, last, n
@@ -243,20 +242,17 @@ class FluidGrid:
         grid._set(
             cells, first, last, mesh.n, mesh.dx, left_edge, mesh.j_min, mesh.periodic, lo, hi, leak
         )
-        grid._u = None
         return grid
 
     @property
     def u(self) -> np.ndarray:
-        """Every cell of the window, read-only; built on first access."""
-        if self._u is None:
-            u = np.empty(self.n)
-            u[: self.lo] = self.first
-            u[self.lo : self.hi] = self.cells
-            u[self.hi :] = self.last
-            u.flags.writeable = False
-            self._u = u
-        return self._u
+        """Every cell of the window, read-only; built on each read."""
+        u = np.empty(self.n)
+        u[: self.lo] = self.first
+        u[self.lo : self.hi] = self.cells
+        u[self.hi :] = self.last
+        u.flags.writeable = False
+        return u
 
     @property
     def particle_index(self) -> int:
@@ -310,7 +306,10 @@ def time_step(cfg: SchemeConfig, env: BoundsEnvelope, dx: float) -> tuple[float,
     the CFL step for L*mu <= 1/2, or for an explicit velocity update the
     mass step m_p/(4L) (4*L*dt/m_p <= 1) when smaller.  ``run`` takes this
     step and ``init_state`` sizes the padded window with it.  A ratio that
-    underflows to 0 is refused, naming the key."""
+    underflows to 0 is refused, naming the key, and so is a mass so small
+    that dt/m_p times the envelope's bound on the drag, the bound of
+    ``check_run``'s acceleration limit, is not finite: a velocity update
+    would overflow."""
     L = lipschitz_bound(cfg.bulk, env.m, env.M, env.v_lo, env.v_hi, cfg.lam)
     if not math.isfinite(L):
         raise ValueError(
@@ -325,6 +324,14 @@ def time_step(cfg: SchemeConfig, env: BoundsEnvelope, dx: float) -> tuple[float,
             dt, ratio, key = dt_mass, dt_mass / dx, "'mass'"
     if not ratio > 0.0:
         raise ValueError(f"the time step {dt!r} has dt/dx = {ratio!r}; check {key}")
+    # every state of the envelope lies in [m, M], so sup |u0| <= max(|m|, |M|)
+    u_sup, v_sup = max(-env.m, env.M), max(-env.v_lo, env.v_hi)
+    drag = 2.0 * L * (u_sup + cfg.lam + v_sup)
+    if not dt / cfg.m_p * drag < math.inf:
+        raise ValueError(
+            f"the time step {dt!r} over the mass {cfg.m_p!r} times the drag bound {drag!r} "
+            "is not finite; check 'mass'"
+        )
     return dt, ratio, key
 
 
@@ -492,18 +499,19 @@ def _fluid_update(
     return FluidGrid._trusted(kept, grid.first, grid.last, grid, left_edge, new_lo, new_hi, leak)
 
 
-def _step(
-    grid: FluidGrid, particle: ParticleState, cfg: SchemeConfig, dt: float, implicit: bool
+def step(
+    grid: FluidGrid, particle: ParticleState, cfg: SchemeConfig, dt: float
 ) -> tuple[FluidGrid, ParticleState]:
-    """One step with every flux at the flux speed w: v^n, or for an implicit
-    step the root of the velocity equation.  The velocity update conserves
-    momentum with the interface pair at w; the mesh shifts by v^n."""
+    """One step with every flux at the flux speed w that ``cfg.velocity_update``
+    picks: v^n for an explicit config, the root of the velocity equation
+    (v^{n+1}) for an implicit one.  The velocity update conserves momentum
+    with the interface pair at w; the mesh shifts by v^n."""
     if not 0.0 < dt < math.inf:
         raise ValueError(f"time step dt must be positive and finite, got dt={dt}")
     p0 = grid.particle_index
     u0, u1 = grid.cells[p0 - grid.lo : p0 - grid.lo + 2].tolist()
     v = particle.v
-    if implicit:
+    if cfg.velocity_update is VelocityUpdate.IMPLICIT:
         w, fm, fp = _solve_implicit_velocity(u0, u1, particle, cfg, dt)
     else:
         w, fm, fp = v, *interface_fluxes(cfg.iface, cfg.bulk, u0, u1, v, cfg.lam)
@@ -513,18 +521,9 @@ def _step(
     return new_grid, ParticleState(h=particle.h + v * dt, v=v_new)
 
 
-def step(
-    grid: FluidGrid, particle: ParticleState, cfg: SchemeConfig, dt: float
-) -> tuple[FluidGrid, ParticleState]:
-    """One explicit step: fluxes and velocity update evaluated at v^n."""
-    return _step(grid, particle, cfg, dt, False)
-
-
-def step_implicit(
-    grid: FluidGrid, particle: ParticleState, cfg: SchemeConfig, dt: float
-) -> tuple[FluidGrid, ParticleState]:
-    """One implicit step: all fluxes at v^{n+1}; the mesh still shifts by v^n."""
-    return _step(grid, particle, cfg, dt, True)
+# run calls step by this name for an implicit config, so a tracer that wraps
+# each name times the two updates apart.
+step_implicit = step
 
 
 def _solve_implicit_velocity(
@@ -691,4 +690,6 @@ def sample_solution(traj: Trajectory, t: float, x: float) -> tuple[float, float,
     k = math.floor((x_back - snap.left_edge) / snap.dx)
     if not 0 <= k < snap.n:
         raise ValueError(f"position {x} outside the stored grid at t={t}")
-    return float(snap.u[k]), h_val, v_n
+    lo, hi = snap.lo, snap.hi  # the cell from the compact form; no window is built
+    u = snap.first if k < lo else snap.last if k >= hi else float(snap.cells[k - lo])
+    return u, h_val, v_n

@@ -675,19 +675,31 @@ def test_implicit_run_at_a_velocity_near_1000_finishes(tmp_path):
     assert (tmp_path / "out" / "particle.csv").is_file()
 
 
-def test_run_refuses_snapshots_that_share_a_file(tmp_path, capsys):
-    # Snapshot files are named u_<t:.6f>.csv; the states stored for 1e-6 and
-    # 1.2e-6 would both write u_0.000001.csv, and one of them would be lost.
+@pytest.mark.parametrize(
+    "lines,times,name",
+    [
+        # the states stored for 1e-6 and 1.2e-6 would both write u_0.000001.csv
+        ("dx = 1e-7\nT = 1.5e-6\nsnapshots = 0.000001, 0.0000012\n",
+         "9.833333333333338e-07 and 1.1999999999999993e-06", "u_0.000001.csv"),
+        # with no snapshots key, T = 1e-7 would overwrite the t = 0 file
+        ("dx = 0.1\nT = 1e-7\n", "0.0 and 1e-07", "u_0.000000.csv"),
+    ],
+    ids=["snapshots", "T"],
+)
+def test_run_refuses_snapshots_that_share_a_file(lines, times, name, tmp_path, capsys):
+    # Snapshot files are named u_<t:.6f>.csv for t = 0, T and each snapshot
+    # time; a run whose stored times share a name, one file lost, is refused
+    # naming both keys and both times.
     cfg_path = tmp_path / "exp.cfg"
     cfg_path.write_text(
-        "lambda = 1\nmass = 1\nmu = 0.25\ndx = 1e-7\nT = 1.5e-6\nu_minus = 1\nu_plus = -1\n"
-        "snapshots = 0.000001, 0.0000012\n",
-        encoding="utf-8",
+        "lambda = 1\nmass = 1\nmu = 0.25\nu_minus = 1\nu_plus = -1\n" + lines, encoding="utf-8"
     )
     out = tmp_path / "out"
     assert main(["run", str(cfg_path), "--out", str(out)]) == 2
-    fail = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
-    assert len(fail) == 1 and "'snapshots'" in fail[0]
+    assert capsys.readouterr().out.splitlines() == [
+        f"FAIL check=execution value=keys 'T' and 'snapshots': the stored times {times} "
+        f"would share the file {name}"
+    ]
     assert not out.exists()  # refused before the directory is made
 
 
@@ -785,6 +797,10 @@ def test_light_particle_run_fits_its_window(tmp_path, capsys):
         # the mass step underflows to 0
         ("5e-324", "", "has dt/dx = 0.0; check 'mass'"),
         ("5e-324", "domain = periodic\nhalf_width = 1\n", "has dt/dx = 0.0; check 'mass'"),
+        # an implicit update drops the mass condition; dt/m_p times the
+        # drag bound overflows
+        ("1e-310", "velocity_update = implicit\n", "is not finite; check 'mass'"),
+        ("5e-324", "velocity_update = implicit\n", "is not finite; check 'mass'"),
     ],
 )
 def test_tiny_mass_exits_2_naming_mass(mass, add, fragment, tmp_path, capsys):
@@ -794,6 +810,23 @@ def test_tiny_mass_exits_2_naming_mass(mass, add, fragment, tmp_path, capsys):
     assert main(["run", str(cfg_path), "--out", str(out)]) == 2
     fail = capsys.readouterr().out.splitlines()
     assert len(fail) == 1 and fail[0].startswith("FAIL check=execution") and fragment in fail[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command,lam", [("probe-germ", "1e154"), ("probe-germ", "1e308"), ("probe-flux", "1e300")]
+)
+def test_the_probes_refuse_a_friction_whose_fluxes_overflow(command, lam, tmp_path, capsys):
+    # Refused before any arithmetic that overflows: no warning, one FAIL
+    # line naming the key, no output directory.
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(_set_line(MINIMAL, f"lambda = {lam}"), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([command, str(cfg_path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    fail = captured.out.splitlines()
+    assert len(fail) == 1 and fail[0].startswith("FAIL check=execution")
+    assert "check 'lambda'" in fail[0] and captured.err == ""
     assert not out.exists()
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 from unittest import mock
 
@@ -651,6 +652,25 @@ def test_dissipativity_probe_examples(monkeypatch):
     assert d1 < 0 and d2 < 0
     with pytest.raises(ValueError):
         dissipativity_probe(InterfaceFluxKind.MAX_GERM, BulkFluxKind.GODUNOV, 1.0, (-2, 2), 0.0, 1)
+
+
+def test_the_probes_form_no_overflow_up_to_their_refusal():
+    # Each probe refuses a friction whose states would overflow its fluxes;
+    # just below that bound every value it forms is finite (a numpy overflow
+    # warning fails the test).  The germ probe's candidates are the corners
+    # of probe-germ's box [-3 lam, 3 lam]^2, where its adapted points reach
+    # 33 lam.
+    def corners(lam):
+        c = 3.0 * lam
+        return [(c, c), (c, -c), (-c, c), (-c, -c), (c, 0.0), (0.0, -c)]
+
+    maximality_probe(1.4e152, 0.0, 1000, corners(1.4e152))
+    with pytest.raises(ValueError, match="check 'lambda'"):
+        maximality_probe(1.5e152, 0.0, 1000, corners(1.5e152))
+    for iface, bulk in itertools.product(InterfaceFluxKind, BulkFluxKind):
+        dissipativity_probe(iface, bulk, 4.7e153, (-2.0, 2.0), 1.0, 20)
+        with pytest.raises(ValueError, match="check 'lambda'"):
+            dissipativity_probe(iface, bulk, 4.8e153, (-2.0, 2.0), 1.0, 20)
 
 
 def test_sample_maximal_subset_members_only():

@@ -310,6 +310,21 @@ def test_step_implicit_takes_the_particle_mass_from_the_config():
     assert velocities[0] != velocities[1]
 
 
+def test_step_takes_the_velocity_update_its_config_names():
+    # step reads cfg.velocity_update: under an implicit config it takes the
+    # implicit step of that config's run, bit for bit, and step_implicit,
+    # the name run calls it by for an implicit config, is step itself.
+    u0 = PiecewiseConstant.riemann(1.0, -1.0, 0.0)
+    cfg = base_cfg(m_p=0.002, velocity_update=VelocityUpdate.IMPLICIT)
+    dt = time_step(cfg, bounds_envelope(u0, 0.5, cfg.lam), 0.05)[0]
+    cfg = dataclasses.replace(cfg, T=dt)
+    traj = run(u0, 0.0, 0.5, cfg, 0.05)
+    grid, part = step(*init_state(u0, 0.0, 0.5, cfg, 0.05), cfg, dt)
+    assert step_implicit is step
+    assert (part.h, part.v) == (traj.h[-1], traj.v[-1])
+    assert grid.u.tobytes() == traj.snapshots[-1][1].u.tobytes()
+
+
 def test_standing_interface_profile_is_preserved():
     # two-state profile admissible at zero speed: fluxes match on both sides
     u0 = PiecewiseConstant.riemann(1.0, -1.0, 0.0)
@@ -612,6 +627,18 @@ def test_fluid_update_has_the_bits_of_the_face_flux_assembly(
     new = scheme._fluid_update(grid, v, dt, *pair, cfg, grid.left_edge)
     assert new.u.tobytes() == u_ref.tobytes()
     assert _bits(new.leak) == _bits(leak_ref)
+
+
+def test_a_constructed_grid_stores_only_its_active_cells():
+    # The constructor keeps a copy of the active range, not a view into a
+    # window of all n cells; u is built from it on each read.
+    window = np.full(1000, 0.5)
+    window[498:503] = (1.0, -1.0, 2.0, 0.25, 0.75)
+    grid = FluidGrid(u=window, dx=0.1, left_edge=-50.0, j_min=-499)
+    assert (grid.lo, grid.hi) == (498, 503)
+    assert grid.cells.base is None and grid.cells.nbytes == 8 * (grid.hi - grid.lo)
+    assert grid.u.tobytes() == window.tobytes()
+    assert grid.u is not grid.u  # nothing is cached
 
 
 def test_a_grid_keeps_its_cells_when_the_caller_changes_its_array():
@@ -1275,6 +1302,22 @@ def test_sample_solution_conventions():
         sample_solution(traj, 0.4 + 1e-6, 0.0)
     with pytest.raises(ValueError):
         sample_solution(traj, 0.1, 1e9)
+
+
+def test_sample_solution_reads_the_compact_cells(monkeypatch):
+    # The far fields and the active cells of a snapshot give sample_solution
+    # the bits of its window, and the window is never built.
+    u0 = PiecewiseConstant.riemann(1.0, -1.0, 0.0)
+    traj = run(u0, 0.0, 0.5, base_cfg(T=0.4), 0.1)
+    grid = traj.snapshots[-1][1]
+    assert 0 < grid.lo and grid.hi < grid.n
+    xs, expected = grid.cell_centers().tolist(), grid.u.tobytes()
+
+    def whole_window(grid):
+        raise AssertionError("grid.u was built")
+
+    monkeypatch.setattr(FluidGrid, "u", property(whole_window))
+    assert np.array([sample_solution(traj, 0.4, x)[0] for x in xs]).tobytes() == expected
 
 
 def test_sample_solution_requires_snapshot():
