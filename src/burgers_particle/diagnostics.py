@@ -300,7 +300,8 @@ RECORD_BLOCK_CELLS = 1 << 14
 class RecordBlock:
     """Consecutive states of one run waiting for ``make_record``, as the
     (grid, particle) pairs themselves: no step changes a grid's cells in
-    place."""
+    place.  Consecutive grids may share one cells object: a step that
+    changes no cell and keeps its active range shares its cells."""
 
     def __init__(self, grid: "FluidGrid"):
         self.n, self.dx, self.periodic = grid.n, grid.dx, grid.periodic
@@ -327,31 +328,42 @@ def make_record(block: RecordBlock, cfg: "SchemeConfig") -> tuple[list[float], .
     ranges, widened to the leaves ``total_variation`` reads; a row holds its
     window's cells there, far-field values included, and every cell outside
     equals the row's far-field value on that side.  The particle cells are
-    inside every active range, so the traces are read from the rows.
+    inside every active range, so the traces are read from the rows.  A run
+    of consecutive grids that share their cells (and so their range and far
+    field) takes one row, whose sum, variation, extremes and traces each of
+    its states reads; only the momentum and the germ distance, which read
+    the particle, are formed per state.
     """
     n = block.n
     a, b = _variation_cells(n, block.lo, block.hi)
     grids, particles = zip(*block.states)
-    if len(grids) == 1 and grids[0].cells.shape[0] == b - a:
-        rows = grids[0].cells[None]  # one state whose active cells are the rows
+    distinct, which = [], []  # the grids that take a row; the row of each state
+    for g in grids:
+        if not distinct or g.cells is not distinct[-1].cells:
+            distinct.append(g)
+        which.append(len(distinct) - 1)
+    if len(distinct) == 1 and grids[0].cells.shape[0] == b - a:
+        rows = grids[0].cells[None]  # one row: the active cells of every state
     else:
-        rows = np.empty((len(grids), b - a))
-        for row, g in zip(rows, grids):
+        rows = np.empty((len(distinct), b - a))
+        for row, g in zip(rows, distinct):
             row[: g.lo - a] = g.first
             row[g.lo - a : g.hi - a] = g.cells
             row[g.hi - a :] = g.last
-    tails = [((a, g.first), (n - b, g.last)) for g in grids]
+    tails = [((a, g.first), (n - b, g.last)) for g in distinct]
     u_min, u_max = rows.min(axis=1), rows.max(axis=1)
     scratch = np.empty_like(rows)
     sums = _exact_sum(rows, tails, (u_max, u_min), scratch)
     k = grids[0].particle_index - a  # the grids of a run share their mesh
-    traces = rows[:, k : k + 2].tolist()
+    per_row = (sums, _variation(rows, a, n, block.periodic, scratch).tolist(), u_min.tolist(),
+               u_max.tolist(), rows[:, k : k + 2].tolist())
+    sums, tv, lows, highs, traces = ([column[i] for i in which] for column in per_row)
     m_p, dx = cfg.m_p, block.dx
     return (
         [m_p * p.v + dx * s for p, s in zip(particles, sums)],
-        _variation(rows, a, n, block.periodic, scratch).tolist(),
-        u_min.tolist(),
-        u_max.tolist(),
+        tv,
+        lows,
+        highs,
         [dist1_to_H(pair, p.v, cfg.lam) for pair, p in zip(traces, particles)],
     )
 

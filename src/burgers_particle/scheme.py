@@ -235,8 +235,9 @@ class FluidGrid:
     ) -> "FluidGrid":
         """A step's new grid in compact form on the mesh of ``mesh``, moved to
         ``left_edge``.  The step has placed the range, so only the new cells
-        are checked: they must be finite."""
-        if not np.isfinite(cells).all():
+        are checked: they must be finite.  Cells shared with ``mesh`` were
+        checked when it was made."""
+        if cells is not mesh.cells and not np.isfinite(cells).all():
             raise ValueError("cell values must be finite")
         grid = cls.__new__(cls)
         grid._set(
@@ -448,8 +449,10 @@ def _fluid_update(
     the new cells, and three buffers that die with the call, so concurrent
     runs share nothing.  A padded update of at most FLOAT_UPDATE_CELLS cells
     does the same operations in Python floats instead, through float calls
-    of ``bulk_flux``, with the bits of the array call.  A padded window's
-    leak is the flux through its outer faces.
+    of ``bulk_flux``, with the bits of the array call; when it changes no
+    cell and leaves the active range as it was, the new grid shares the old
+    grid's cells, so an unchanged state allocates and checks no cells.  A
+    padded window's leak is the flux through its outer faces.
     """
     n, lo, hi, cells = grid.n, grid.lo, grid.hi, grid.cells
     p0 = grid.particle_index
@@ -463,7 +466,8 @@ def _fluid_update(
         # replaces it, fm as the right face of cell p0, fp as the left of p0 + 1.
         # A face between the same two values as the face before it (three
         # equal cells; a bulk flux gives 0.0 and -0.0 one value) reuses it.
-        w = [grid.first] * 2 + cells.tolist() + [grid.last] * 2
+        old = cells.tolist()
+        w = [grid.first] * 2 + old + [grid.last] * 2
         faces, k = [], p0 - a + 1
         for i in range(len(w) - 1):
             if i != k:
@@ -473,6 +477,7 @@ def _fluid_update(
         ratio = dt / grid.dx
         new = [u - (r - f) * ratio for u, (f, r) in zip(w[1:-1], pairs)]
     else:
+        old = None  # never shared: comparing would cost a pass over every cell
         if grid.periodic:
             w = np.empty(cells.shape[0] + 2)
             w[0], w[1:-1], w[-1] = cells[-1], cells, cells[0]
@@ -495,7 +500,11 @@ def _fluid_update(
     if min(lo, new_lo) < 3 or max(hi, new_hi) > n - 3:
         raise BoundaryGuardError("disturbance reached the padded boundary; enlarge the domain")
     leak = dt * float(faces[-1] - faces[0])
-    kept = np.asarray(new[new_lo - a : new_hi - a])  # new is an array or a list
+    kept = new[new_lo - a : new_hi - a]  # new is an array or a list
+    # == on floats is bitwise here: no cell is -0.0 (the constructor reads it
+    # as 0.0, and u - d is -0.0 only for u = -0.0), and a NaN equals nothing.
+    same = old is not None and (new_lo, new_hi) == (lo, hi) and kept == old
+    kept = cells if same else np.asarray(kept)
     return FluidGrid._trusted(kept, grid.first, grid.last, grid, left_edge, new_lo, new_hi, leak)
 
 

@@ -588,6 +588,18 @@ def test_probe_flux_report_bytes_are_pinned(tmp_path):
     assert digest == "3c1d7d10c51e0d2b923d225db12fc777bc0541d74f810ede401da4b84b4a05b6"
 
 
+@pytest.mark.parametrize("lam", ["1", "1e6", "1e9"])
+def test_probe_flux_passes_at_a_friction_whose_fluxes_round_large(lam, tmp_path, capsys):
+    # The fluxes grow like lambda**2 and their rounding with them: at 1e6
+    # the worst difference is -4.66e-10, at 1e9 -4.77e-07, which TAU_NUM
+    # alone refused.  The gate's rounding allowance grows with the fluxes.
+    cfg = parse_config(_set_line(MINIMAL, f"lambda = {lam}"))
+    assert cmd_probe_flux(cfg, tmp_path) == 0
+    rows = (tmp_path / "probe_report.csv").read_text().splitlines()[1:]
+    assert len(rows) == 18 and all(r.endswith(",pass") for r in rows)
+    assert "FAIL" not in capsys.readouterr().out
+
+
 def test_probe_germ_gate(tmp_path):
     cfg = parse_config(MINIMAL + "seed = 3\n")
     status = cmd_probe_germ(cfg, tmp_path)

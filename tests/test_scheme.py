@@ -537,6 +537,57 @@ def test_a_small_padded_step_has_the_bits_of_the_loop_reference(
     assert _bits(g.leak) == _bits(leak_ref) and _bits(p.v) == _bits(v_ref)
 
 
+_share_values = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]) | st.floats(-2.0, 2.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    active=st.lists(_share_values, min_size=2, max_size=_SMALL - 2),
+    first=_share_values,
+    last=_share_values,
+    at=st.integers(0, 20),
+    v=_share_values,
+    m_p=st.sampled_from([0.002, 0.5, 1.0]),
+    bulk=st.sampled_from(BULKS),
+    iface=st.sampled_from(IFACES),
+    update=st.sampled_from(list(VelocityUpdate)),
+)
+@example(  # implicit-light's stationary pair: every step keeps its cells
+    active=[1.0, -1.0], first=1.0, last=-1.0, at=0, v=0.5, m_p=0.002,
+    bulk=BulkFluxKind.GODUNOV, iface=InterfaceFluxKind.MAX_GERM, update=VelocityUpdate.IMPLICIT,
+)
+@example(  # a uniform zero state, from cells of both signs
+    active=[-0.0, 0.0], first=0.0, last=-0.0, at=0, v=0.0, m_p=1.0,
+    bulk=BulkFluxKind.RUSANOV, iface=InterfaceFluxKind.G1_ONLY, update=VelocityUpdate.EXPLICIT,
+)
+def test_a_float_step_shares_its_cells_exactly_when_it_keeps_their_bits(
+    active, first, last, at, v, m_p, bulk, iface, update
+):
+    # Padded steps through the float update: a new grid shares the old
+    # grid's cells if and only if its active range and cell bytes equal the
+    # old grid's, which float == can decide only because no cell of any
+    # state is -0.0.
+    p0 = 6 + at % (len(active) - 1)
+    u = np.array([first] * 6 + active + [last] * 6)
+    grid = FluidGrid(u=u, dx=0.1, left_edge=-0.1 * (p0 + 1), j_min=-p0)
+    part = ParticleState(h=0.0, v=v)
+    cfg = base_cfg(m_p=m_p, bulk=bulk, iface=iface, velocity_update=update)
+    for _ in range(3):
+        if grid.hi - grid.lo + 2 > _SMALL:
+            break  # the array update's range
+        try:
+            new, part = step(grid, part, cfg, 0.01)
+        except BoundaryGuardError:
+            break
+        same = (new.lo, new.hi) == (grid.lo, grid.hi)
+        same = same and new.cells.tobytes() == grid.cells.tobytes()
+        assert (new.cells is grid.cells) == same
+        for g in (grid, new):
+            values = [g.first, g.last, *g.cells.tolist()]
+            assert not any(x == 0.0 and math.copysign(1.0, x) < 0.0 for x in values)
+        grid = new
+
+
 def test_a_padded_step_allocates_its_active_cells_not_its_window():
     # The mass-bound compact datum lays out 74482 cells, 70 of them active.
     # A step stores and updates only the active cells, so its peak allocation
@@ -928,6 +979,31 @@ def test_run_records_a_single_block_of_one_or_two_states(domain, T, monkeypatch)
     states, columns = _reference_run(u0, 0.0, 0.2, cfg, 0.05)
     assert [len(b) for b in blocks] == [len(states)] == [1 if T == 0.0 else 2]
     _assert_matches_reference(traj, states, columns, min_states=len(states))
+
+
+def test_an_unchanged_state_shares_its_cells_and_takes_one_record_row(monkeypatch):
+    # implicit-light's datum at its coarsest level: the stationary profile
+    # keeps its cells bit for bit while v relaxes, so from the first steady
+    # step on the grids share one cells object, and make_record sums one
+    # row per distinct cells object of a block.  Every column keeps the bits
+    # of the per-state definitions.
+    cfg = base_cfg(**_LIGHT_IMPLICIT)
+    rows = []
+    real = diagnostics._exact_sum
+
+    def exact_sum(x, tails, extremes, scratch):
+        rows.append(x.shape[0])
+        return real(x, tails, extremes, scratch)
+
+    monkeypatch.setattr(diagnostics, "_exact_sum", exact_sum)
+    blocks = _record_blocks(monkeypatch)
+    traj = run(_RIEMANN, 0.0, 0.5, cfg, 0.02, store_all=True)
+    grids = [grid for _, grid in traj.snapshots]
+    shared = [b.cells is a.cells for a, b in zip(grids, grids[1:])]
+    assert len(grids) == 301 and all(shared[shared.index(True) :])
+    assert rows == [len({id(grid.cells) for grid, _ in states}) for states in blocks]
+    assert sum(rows) < len(blocks) + 2
+    _assert_matches_reference(traj, *_reference_run(_RIEMANN, 0.0, 0.5, cfg, 0.02))
 
 
 def test_run_propagates_a_guard_error_raised_inside_a_block(monkeypatch):
