@@ -331,8 +331,9 @@ def make_record(block: RecordBlock, cfg: "SchemeConfig") -> tuple[list[float], .
     inside every active range, so the traces are read from the rows.  A run
     of consecutive grids that share their cells (and so their range and far
     field) takes one row, whose sum, variation, extremes and traces each of
-    its states reads; only the momentum and the germ distance, which read
-    the particle, are formed per state.
+    its states reads.  The momentum and the germ distance, which also read
+    the particle, are formed once per run of states that share their cells
+    and the bits of v, as a light particle at equilibrium does.
     """
     n = block.n
     a, b = _variation_cells(n, block.lo, block.hi)
@@ -355,17 +356,19 @@ def make_record(block: RecordBlock, cfg: "SchemeConfig") -> tuple[list[float], .
     scratch = np.empty_like(rows)
     sums = _exact_sum(rows, tails, (u_max, u_min), scratch)
     k = grids[0].particle_index - a  # the grids of a run share their mesh
-    per_row = (sums, _variation(rows, a, n, block.periodic, scratch).tolist(), u_min.tolist(),
-               u_max.tolist(), rows[:, k : k + 2].tolist())
-    sums, tv, lows, highs, traces = ([column[i] for i in which] for column in per_row)
+    traces = rows[:, k : k + 2].tolist()
+    per_row = (_variation(rows, a, n, block.periodic, scratch).tolist(), u_min.tolist(),
+               u_max.tolist())
+    tv, lows, highs = ([column[i] for i in which] for column in per_row)
     m_p, dx = cfg.m_p, block.dx
-    return (
-        [m_p * p.v + dx * s for p, s in zip(particles, sums)],
-        tv,
-        lows,
-        highs,
-        [dist1_to_H(pair, p.v, cfg.lam) for pair, p in zip(traces, particles)],
-    )
+    momentum, dist, last = [], [], None
+    for i, p in zip(which, particles):
+        key = (i, p.v, math.copysign(1.0, p.v))  # the sign: == takes -0.0 for 0.0
+        if key != last:
+            last, pm, d = key, m_p * p.v + dx * sums[i], dist1_to_H(traces[i], p.v, cfg.lam)
+        momentum.append(pm)
+        dist.append(d)
+    return momentum, tv, lows, highs, dist
 
 
 def entropy_residual(

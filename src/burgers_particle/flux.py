@@ -108,11 +108,11 @@ def _engquist_osher(a, b, v, ops, o0=None, o1=None, o2=None, s=None):
     return add(add(p, f_v(v, v), out=o1), n, out=o1)
 
 
-_BULK = {
-    BulkFluxKind.GODUNOV: _godunov,
-    BulkFluxKind.RUSANOV: _rusanov,
-    BulkFluxKind.ENGQUIST_OSHER: _engquist_osher,
-}
+# Each kind holds its kernel as an attribute: a dict keyed by the member
+# would run the Python-level Enum.__hash__ on every call.
+BulkFluxKind.GODUNOV.kernel = _godunov
+BulkFluxKind.RUSANOV.kernel = _rusanov
+BulkFluxKind.ENGQUIST_OSHER.kernel = _engquist_osher
 
 
 def _max(x, y, out=None):
@@ -152,7 +152,7 @@ def bulk_flux(kind: BulkFluxKind, a, b, v, out=()):
     arrays of the result's shape to work in: the fluxes are returned in the
     second or third, the first is free again, and nothing is allocated.
     """
-    return _BULK[kind](a, b, v, _ops(a, b, v), *out)
+    return kind.kernel(a, b, v, _ops(a, b, v), *out)
 
 
 def flux_difference(faces: np.ndarray, k: int, fm: float, fp: float, out=None) -> np.ndarray:
@@ -194,7 +194,7 @@ def interface_fluxes(kind: InterfaceFluxKind, bulk: BulkFluxKind, a, b, v, lam: 
     or a jump that differs between the two fluxes, leaves a viscous
     remainder in the drag that decreases in spots.
     """
-    g, ops = _BULK[bulk], _ops(a, b, v)
+    g, ops = bulk.kernel, _ops(a, b, v)
     maximum, minimum = ops[0], ops[1]
     if kind is InterfaceFluxKind.G1_ONLY:
         b_sh = b + lam

@@ -188,10 +188,14 @@ class FluidGrid:
     Periodic grids have no far field and use the full range.  ``leak`` is
     the momentum that left a padded window through its edges during the
     step that produced this grid (0 for a constructed or periodic grid).
+    ``fixed`` is ``(v, dt, cfg)`` when the step that produced this grid kept
+    both its cells (the same object) and the bits of ``v``: a fixed point,
+    which ``step`` repeats for the same three inputs without a flux.  It is
+    None for every other grid, a constructed one included, and never changes.
     """
 
     __slots__ = ("cells", "first", "last", "n", "dx", "left_edge", "j_min", "periodic", "lo",
-                 "hi", "leak")
+                 "hi", "leak", "fixed")
 
     def __init__(
         self, u: np.ndarray, dx: float, left_edge: float, j_min: int, periodic: bool = False
@@ -221,27 +225,28 @@ class FluidGrid:
         cells = u[lo:hi] + 0.0
         cells.flags.writeable = False
         first, last = float(u[0]) + 0.0, float(u[-1]) + 0.0
-        self._set(cells, first, last, n, dx, left_edge, j_min, periodic, lo, hi, 0.0)
+        self._set(cells, first, last, n, dx, left_edge, j_min, periodic, lo, hi, 0.0, None)
 
-    def _set(self, cells, first, last, n, dx, left_edge, j_min, periodic, lo, hi, leak):
+    def _set(self, cells, first, last, n, dx, left_edge, j_min, periodic, lo, hi, leak, fixed):
         self.cells, self.first, self.last, self.n = cells, first, last, n
         self.dx, self.left_edge, self.j_min, self.periodic = dx, left_edge, j_min, periodic
-        self.lo, self.hi, self.leak = lo, hi, leak
+        self.lo, self.hi, self.leak, self.fixed = lo, hi, leak, fixed
 
     @classmethod
     def _trusted(
         cls, cells: np.ndarray, first: float, last: float, mesh: "FluidGrid", left_edge: float,
-        lo: int, hi: int, leak: float,
+        lo: int, hi: int, leak: float, fixed: tuple | None = None,
     ) -> "FluidGrid":
         """A step's new grid in compact form on the mesh of ``mesh``, moved to
-        ``left_edge``.  The step has placed the range, so only the new cells
-        are checked: they must be finite.  Cells shared with ``mesh`` were
-        checked when it was made."""
+        ``left_edge``, with the mark ``fixed``.  The step has placed the range,
+        so only the new cells are checked: they must be finite.  Cells shared
+        with ``mesh`` were checked when it was made."""
         if cells is not mesh.cells and not np.isfinite(cells).all():
             raise ValueError("cell values must be finite")
         grid = cls.__new__(cls)
         grid._set(
-            cells, first, last, mesh.n, mesh.dx, left_edge, mesh.j_min, mesh.periodic, lo, hi, leak
+            cells, first, last, mesh.n, mesh.dx, left_edge, mesh.j_min, mesh.periodic, lo, hi, leak,
+            fixed,
         )
         return grid
 
@@ -432,10 +437,10 @@ FLOAT_UPDATE_CELLS = 7
 
 def _fluid_update(
     grid: FluidGrid, v_flux: float, dt: float, fm: float, fp: float, cfg: SchemeConfig,
-    left_edge: float,
+    left_edge: float, fixed: tuple | None = None,
 ) -> FluidGrid:
     """Flux-difference update at flux speed v_flux: the new grid, with its
-    left edge at ``left_edge``.
+    left edge at ``left_edge``, marked ``fixed`` if it shares the old cells.
 
     A padded window updates only the cells that can change: the active range
     widened by one cell on each side.  Any other cell sits between two equal
@@ -504,8 +509,10 @@ def _fluid_update(
     # == on floats is bitwise here: no cell is -0.0 (the constructor reads it
     # as 0.0, and u - d is -0.0 only for u = -0.0), and a NaN equals nothing.
     same = old is not None and (new_lo, new_hi) == (lo, hi) and kept == old
-    kept = cells if same else np.asarray(kept)
-    return FluidGrid._trusted(kept, grid.first, grid.last, grid, left_edge, new_lo, new_hi, leak)
+    kept, fixed = (cells, fixed) if same else (np.asarray(kept), None)
+    return FluidGrid._trusted(
+        kept, grid.first, grid.last, grid, left_edge, new_lo, new_hi, leak, fixed
+    )
 
 
 def step(
@@ -514,20 +521,39 @@ def step(
     """One step with every flux at the flux speed w that ``cfg.velocity_update``
     picks: v^n for an explicit config, the root of the velocity equation
     (v^{n+1}) for an implicit one.  The velocity update conserves momentum
-    with the interface pair at w; the mesh shifts by v^n."""
+    with the interface pair at w; the mesh shifts by v^n.
+
+    A step that keeps both the cells (the same object) and the bits of v is
+    a fixed point: it marks its grid with (v, dt, cfg).  Given a grid marked
+    with the bits of v, the same dt and the same cfg object, the step moves
+    grid and particle by v*dt and evaluates no flux.  That is exact: the
+    step's inputs are then those of the step that marked the grid, apart
+    from the positions, which enter nothing but the shift; the leak reads
+    the same cells, flux speed and dt, and the guard the same ranges."""
     if not 0.0 < dt < math.inf:
         raise ValueError(f"time step dt must be positive and finite, got dt={dt}")
+    v = particle.v
+    fixed = grid.fixed
+    if fixed is not None and fixed[2] is cfg and fixed[1] == dt and _same_bits(fixed[0], v):
+        moved = FluidGrid._trusted(grid.cells, grid.first, grid.last, grid, grid.left_edge + v * dt,
+                                   grid.lo, grid.hi, grid.leak, fixed)
+        return moved, ParticleState(h=particle.h + v * dt, v=v)
     p0 = grid.particle_index
     u0, u1 = grid.cells[p0 - grid.lo : p0 - grid.lo + 2].tolist()
-    v = particle.v
     if cfg.velocity_update is VelocityUpdate.IMPLICIT:
         w, fm, fp = _solve_implicit_velocity(u0, u1, particle, cfg, dt)
     else:
         w, fm, fp = v, *interface_fluxes(cfg.iface, cfg.bulk, u0, u1, v, cfg.lam)
     fm, fp = float(fm), float(fp)
-    new_grid = _fluid_update(grid, w, dt, fm, fp, cfg, grid.left_edge + v * dt)
     v_new = v + (dt / cfg.m_p) * (fm - fp)
+    mark = (v, dt, cfg) if _same_bits(v_new, v) else None  # for a grid that keeps its cells
+    new_grid = _fluid_update(grid, w, dt, fm, fp, cfg, grid.left_edge + v * dt, mark)
     return new_grid, ParticleState(h=particle.h + v * dt, v=v_new)
+
+
+def _same_bits(a: float, b: float) -> bool:
+    """a == b with the sign of zero: == alone takes -0.0 for 0.0."""
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
 
 
 # run calls step by this name for an implicit config, so a tracer that wraps

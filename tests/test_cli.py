@@ -890,3 +890,18 @@ def test_light_explicit_run_writes_the_recorded_bytes(tmp_path, capsys):
     assert written == recorded
     accel = np.loadtxt(out / "particle.csv", delimiter=",", skiprows=1, usecols=5)
     assert (accel == 0).any() and ((accel != 0) & (abs(accel) < 1e-4)).any()
+
+
+def test_light_implicit_convergence_writes_the_recorded_bytes(tmp_path, capsys):
+    # The implicit equilibrium regime: implicit-light's datum at T = 0.25,
+    # where a light particle reaches equilibrium with the stationary profile
+    # within a few dozen steps and most steps are fixed points.  The digest
+    # was recorded before steps from a fixed point stopped evaluating
+    # fluxes; CI checks the installed entry point against the same file.
+    tests = Path(__file__).resolve().parent
+    out = tmp_path / "out"
+    assert main(["convergence", str(tests / "light_implicit.cfg"), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    digest, name = (tests / "light_implicit.sha256").read_text().split()
+    assert [p.name for p in out.iterdir()] == [name] == ["convergence.csv"]
+    assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest

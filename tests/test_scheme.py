@@ -1185,14 +1185,18 @@ def test_implicit_solve_brackets_and_ends_at_its_rounding_bound(monkeypatch):
                         assert r_next * r < 0.0 and abs(r) <= abs(r_next)
 
 
-def _count_interface_fluxes(monkeypatch):
+def _count_calls(monkeypatch, *names):
+    """Count the calls made through the scheme module's globals ``names``."""
     calls = [0]
 
-    def counted(*args):
-        calls[0] += 1
-        return interface_fluxes(*args)
+    def counted(real):
+        def call(*args):
+            calls[0] += 1
+            return real(*args)
+        return call
 
-    monkeypatch.setattr(scheme, "interface_fluxes", counted)
+    for name in names:
+        monkeypatch.setattr(scheme, name, counted(getattr(scheme, name)))
     return calls
 
 
@@ -1201,7 +1205,7 @@ def test_implicit_solve_makes_fewer_calls_on_the_mean_than_from_the_bracket_ends
     # the solve that evaluated both bracket ends first made 10147 calls on
     # them, the Illinois solve from v^n 8115 and Ridders' rounds from v^n
     # 8040.  A change to the solve must not make more in total.
-    calls = _count_interface_fluxes(monkeypatch)
+    calls = _count_calls(monkeypatch, "interface_fluxes")
     rng = np.random.default_rng(0)
     for bulk in BULKS:
         for iface in IFACES:
@@ -1221,7 +1225,10 @@ def test_an_implicit_step_at_equilibrium_makes_one_flux_call(monkeypatch):
     # 1 | -1 pair once its light particle has reached equilibrium with the
     # traces: each solve evaluates r(v^n), finds it within its rounding
     # bound, and returns v^n with that interface pair, which the step reuses.
-    calls = _count_interface_fluxes(monkeypatch)
+    # A grid rebuilt through the constructor carries no fixed-point mark, so
+    # its step solves; the loop's own grids are marked, and their steps make
+    # no call at all.
+    calls = _count_calls(monkeypatch, "interface_fluxes")
     cfg = base_cfg(velocity_update=VelocityUpdate.IMPLICIT)
     w = scheme._solve_implicit_velocity(0.3, 0.3, ParticleState(h=0.0, v=0.3), cfg, 0.01)
     assert w[0] == 0.3
@@ -1232,12 +1239,90 @@ def test_an_implicit_step_at_equilibrium_makes_one_flux_call(monkeypatch):
     dt = time_step(cfg, bounds_envelope(u0, 0.5, 1.0), grid.dx)[0]
     for _ in range(100):
         grid, part = step_implicit(grid, part, cfg, dt)
+    assert grid.fixed is not None
     for _ in range(5):
         calls[0] = 0
-        g, p = step_implicit(grid, part, cfg, dt)
+        rebuilt = FluidGrid(grid.u, grid.dx, grid.left_edge, grid.j_min)
+        g, p = step_implicit(rebuilt, part, cfg, dt)
         assert calls[0] == 1 and p.v == part.v
-        assert g.cells.tolist() == grid.cells.tolist() == [1.0, -1.0]
+        assert g.cells.tolist() == rebuilt.cells.tolist() == [1.0, -1.0]
+        calls[0] = 0
+        g, p = step_implicit(grid, part, cfg, dt)
+        assert calls[0] == 0 and p.v == part.v
+        assert g.cells is grid.cells and g.cells.tolist() == [1.0, -1.0]
         grid, part = g, p
+
+
+def _state_bits(state):
+    grid, part = state
+    return (
+        grid.cells.tobytes(), grid.lo, grid.hi, _bits(grid.first), _bits(grid.last),
+        _bits(grid.leak), _bits(grid.left_edge), _bits(part.h), _bits(part.v),
+    )
+
+
+@pytest.mark.parametrize("u0, v0, v", [
+    (_RIEMANN, 0.0, 0.0), (_RIEMANN, 0.0, -0.0), (_RIEMANN, 0.5, None),
+    (PiecewiseConstant.riemann(1.5, -0.5), 0.5, None),
+])
+@pytest.mark.parametrize("update", list(VelocityUpdate))
+def test_a_step_from_a_marked_grid_has_the_bits_of_a_full_step(update, u0, v0, v, monkeypatch):
+    # implicit-light's stationary profile 1 | -1 is a fixed point of both
+    # updates with the particle at rest, and with the equilibrium speed
+    # (about 5e-17) that a particle starting at 0.5 relaxes to; so is the
+    # profile moved by 0.5 (Galilean invariance) with the particle at 0.5.
+    # Each step keeps the cells and v's bits, and marks its grid.  From that
+    # grid, a step with the same v bits (v = None: the particle's own), dt
+    # and cfg object moves grid and particle and evaluates no flux; with
+    # v = -0.0 (the full step gives 0.0), another dt or an equal but
+    # distinct cfg it takes the full step.  Either way the result has the
+    # bits of the full step from the grid rebuilt through the constructor,
+    # which carries no mark.
+    cfg = base_cfg(**dict(_LIGHT_IMPLICIT, velocity_update=update))
+    grid, part = init_state(u0, 0.0, v0, cfg, 0.02)
+    dt = time_step(cfg, bounds_envelope(u0, v0, 1.0), grid.dx)[0]
+    assert grid.fixed is None
+    for _ in range(400):
+        grid, part = step(grid, part, cfg, dt)
+        if grid.fixed is not None:
+            break
+    assert grid.fixed == (part.v, dt, cfg) and grid.fixed[2] is cfg
+    if v is not None:
+        part = ParticleState(h=part.h, v=v)
+    rebuilt = FluidGrid(grid.u, grid.dx, grid.left_edge, grid.j_min)
+    assert rebuilt.fixed is None
+    calls = _count_calls(monkeypatch, "bulk_flux", "interface_fluxes")
+    other = dataclasses.replace(cfg)
+    assert other == cfg and other is not cfg
+    shortcut = v is None or math.copysign(1.0, v) > 0.0
+    for c, d, free in ((cfg, dt, shortcut), (cfg, 0.5 * dt, False), (other, dt, False)):
+        calls[0] = 0
+        full = step(rebuilt, part, c, d)
+        assert calls[0] > 0
+        calls[0] = 0
+        new = step(grid, part, c, d)
+        assert (calls[0] == 0) == free
+        assert _state_bits(new) == _state_bits(full)
+        assert new[0].cells is grid.cells and new[0].fixed == full[0].fixed
+        if free:
+            assert new[0].fixed is grid.fixed
+        elif new[0].fixed is not None:  # marked for its own inputs
+            assert new[0].fixed[1:] == (d, c) and new[0].fixed[2] is c
+        if v == 0.0 and math.copysign(1.0, v) < 0.0:  # the full step gives 0.0
+            assert new[0].fixed is None
+
+
+def test_a_periodic_run_never_marks_its_grids(monkeypatch):
+    # A uniform box at rest is a fixed point too, but a periodic step takes
+    # the array update, whose new cells are never the old ones: every step
+    # evaluates its fluxes.
+    cfg = base_cfg(T=0.1, domain=Domain.PERIODIC, half_width=2.0)
+    calls = _count_calls(monkeypatch, "bulk_flux", "interface_fluxes")
+    traj = run(PiecewiseConstant((), (0.0,)), 0.0, 0.0, cfg, 0.05, store_all=True)
+    grids = [grid for _, grid in traj.snapshots]
+    assert len(grids) == len(traj.times) > 5
+    assert all(g.fixed is None for g in grids)
+    assert traj.v.tolist() == [0.0] * len(grids) and calls[0] >= 2 * (len(grids) - 1)
 
 
 def test_an_implicit_stiff_transient_takes_at_most_six_flux_calls_a_step(monkeypatch):
@@ -1245,7 +1330,7 @@ def test_an_implicit_stiff_transient_takes_at_most_six_flux_calls_a_step(monkeyp
     # of them away from equilibrium, as the passing waves keep moving the
     # traces.  Ridders' rounds take at most 6 calls a step here (5.31 on
     # the mean).
-    calls = _count_interface_fluxes(monkeypatch)
+    calls = _count_calls(monkeypatch, "interface_fluxes")
     u0 = PiecewiseConstant((-0.4, 0.0, 0.3), (0.0, 1.1, -0.8, 0.0))
     cfg = base_cfg(m_p=1e-3, velocity_update=VelocityUpdate.IMPLICIT)
     grid, part = init_state(u0, 0.0, 0.2, cfg, 0.0025)
