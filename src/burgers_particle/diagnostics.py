@@ -481,7 +481,11 @@ def sample_maximal_subset(v: float, lam: float, n: int) -> np.ndarray:
 
     Half the budget goes to the line (parameterized over [v-4*lam, v+4*lam]),
     the rest to a grid over the subsonic box restricted to
-    u_minus - u_plus <= lam.
+    u_minus - u_plus <= lam.  The line points come first, in ascending t, so
+    neither u_minus = t nor u_plus = t - lam decreases along them; the box
+    points follow row by row in ascending u_minus, each row ascending in
+    u_plus.  ``maximality_probe`` reads its signs off this order, and the
+    sign of a zero minimum it reports depends on it.
     """
     n_line = max(2, n // 2)
     t = np.linspace(v - 4.0 * lam, v + 4.0 * lam, n_line)
@@ -535,8 +539,7 @@ def _pairing(a, b, qm, qp, f_qm, f_qp, v):
     Broadcasts over all arguments.  Reproduces ``germ.kruzhkov_flux``'s
     operation order, with np.sign(0) == 0 for its sign(0) = 0, so each value
     has the bits of ``germ.xi`` on the same pair of points.  Works in place
-    on two temporaries: on 10^4 points, allocating one array per operation
-    took up to twice as long.
+    on two temporaries, not one array per operation.
     """
     phi_m = a - qm
     np.sign(phi_m, out=phi_m)
@@ -555,13 +558,17 @@ def _line_pairing(a, b, ts, lam, v):
 
 
 def _three_smallest(x: np.ndarray) -> np.ndarray:
-    """``np.argsort(x)[:3]``, without sorting x when its four smallest
-    values are distinct (then the three are strictly below every other
-    value, and any sort orders them alike)."""
-    i = np.argpartition(x, 3)[:4]
+    """``np.argsort(x)[:3]``, without sorting x when its three smallest
+    values are distinct and strictly below every other value (then any sort
+    orders them alike).  The third smallest of the nine values around the
+    minimum bounds the three smallest of x, so only the values up to it are
+    sorted: on the probe's line values, three of about 5000."""
+    j = int(x.argmin())
+    bound = sorted(x[max(0, j - 4) : j + 5].tolist())[2]
+    i = (x <= bound).nonzero()[0]
     i = i[np.argsort(x[i])]
-    s = x[i]
-    if s[0] < s[1] < s[2] < s[3]:
+    s = x[i[:4]].tolist()
+    if s[0] < s[1] < s[2] and (len(s) == 3 or s[2] < s[3]):
         return i[:3]
     return np.argsort(x)[:3]
 
@@ -608,18 +615,40 @@ def _block_min_xi(a, b, lam, v, q, f_q, n_line, spacing):
     three best line parameters through its three refinement levels.
 
     ``q`` holds the base sample's u_minus and u_plus rows, ``f_q`` their
-    fluxes; its first ``n_line`` points are the line points.
+    fluxes; its first ``n_line`` points are the line points.  u_minus does
+    not decrease on the line points nor on the box points, and u_plus on
+    the line points (``sample_maximal_subset``).  So the pass over the base
+    sample finds where sign(a - u_minus) and sign(b - u_plus) turn -1 there
+    by binary search, once per block, and negates the flux differences from
+    that point on; before it the sign is +1, or 0 on points equal to the
+    coordinate, where the difference f(a) - f(a) is +0.0 (f_v is +0.0 at
+    either zero) and np.sign's 0 leaves it as it is.  Only the box's
+    u_plus, ascending within each row alone, takes an elementwise sign.
+    Each value gets _pairing's operations and keeps its bits.
     """
-    k = a.shape[0]
+    k, n = a.shape[0], q.shape[1]
     qm, qp = q
     f_qm, f_qp = f_q
     line_ts = qm[:n_line]
     m = np.empty(k)
     t0 = np.empty((k, 3))
     # One O(n_h) pass per candidate; its first n_line values are the
-    # pairings with the sample's line points.
-    for i, (ai, bi) in enumerate(zip(a.tolist(), b.tolist())):
-        vals = _pairing(ai, bi, qm, qp, f_qm, f_qp, v)
+    # pairings with the sample's line points.  The first point above each
+    # coordinate in the sorted parts of the sample:
+    above = np.column_stack([
+        np.searchsorted(qm[:n_line], a, "right"),
+        np.searchsorted(qm[n_line:], a, "right") + n_line,
+        np.searchsorted(qp[:n_line], b, "right"),
+    ])
+    da, db, sign_box = np.empty(n), np.empty(n), np.empty(n - n_line)
+    for i, (ai, bi, (j0, j1, j2)) in enumerate(zip(a.tolist(), b.tolist(), above.tolist())):
+        phi_m = np.subtract(_f(ai, v), f_qm, out=da)
+        phi_p = np.subtract(_f(bi, v), f_qp, out=db)
+        for x, j, end in ((phi_m, j0, n_line), (phi_m, j1, n), (phi_p, j2, n_line)):
+            np.negative(x[j:end], out=x[j:end])
+        np.sign(np.subtract(bi, qp[n_line:], out=sign_box), out=sign_box)
+        phi_p[n_line:] *= sign_box
+        vals = np.subtract(phi_m, phi_p, out=da)
         m[i] = vals.min()
         t0[i] = line_ts[_three_smallest(vals[:n_line])]
     A, B = a[:, None], b[:, None]
@@ -680,9 +709,11 @@ def maximality_probe(
     inflated by ``_BOUNDARY_TOL``, the pairing resolution.
 
     ``candidates`` is a sequence of pairs or an (n, 2) array.  Each
-    candidate makes one pass over the base sample; the adapted points and
-    refinements of blocks of candidates are evaluated together.  Points
-    whose fluxes would overflow are refused before any is formed.
+    candidate makes one pass over the base sample, which reads its signs
+    off the sample's order (``_block_min_xi``); a sample out of that order
+    is refused.  The adapted points and refinements of blocks of candidates
+    are evaluated together.  Points whose fluxes would overflow are refused
+    before any is formed.
     """
     if n_h < 100:
         raise ValueError(f"need at least 100 sample points, got {n_h}")
@@ -695,6 +726,10 @@ def maximality_probe(
     q = sample_maximal_subset(v, lam, n_h).T.copy()
     f_q = _f(q, v)
     n_line = max(2, n_h // 2)
+    for x in (q[0, :n_line], q[0, n_line:], q[1, :n_line]):
+        if not (x[1:] >= x[:-1]).all():
+            raise ValueError("the sample's line and box points must ascend in u_minus, "
+                             "and its line points in u_plus")
     spacing = 8.0 * lam / (n_line - 1)
     out = []
     for start in range(0, pts.shape[0], _PROBE_BLOCK):

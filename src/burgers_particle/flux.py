@@ -6,7 +6,8 @@ the two interface-flux families used around the particle:
 * ``MAX_GERM`` substitutes the neighbor state through the subsonic box, so
   the pair reproduces the one-sided exact fluxes on all of G1 | G2,
 * ``G1_ONLY`` shifts one argument by the friction parameter and reproduces
-  the exact fluxes on the line G1 only.
+  the exact fluxes on the line G1 only.  Under Godunov and Engquist-Osher
+  both families give the same pair, so the choice matters only for Rusanov.
 
 Both families substitute symmetrically: the two fluxes of the pair see the
 same jump between their arguments.  The Rusanov pair also shares one speed,
@@ -181,8 +182,8 @@ def interface_fluxes(kind: InterfaceFluxKind, bulk: BulkFluxKind, a, b, v, lam: 
 
     Godunov and Engquist-Osher are constant in y on g(a, y) for
     y >= max(a, v) and constant in x on g(x, b) for x <= min(b, v); the
-    MAX_GERM substitution only moves arguments inside those ranges, so any
-    substitution through the box gives them the same values.
+    MAX_GERM substitution only moves arguments inside those ranges, so for
+    them it gives the G1_ONLY values bit for bit, and only Rusanov builds it.
 
     The Rusanov pair uses one speed for both fluxes,
     s = max |w - v| over w in {a, b + lam, a - lam, b}.  It bounds |f_v'| at
@@ -196,18 +197,12 @@ def interface_fluxes(kind: InterfaceFluxKind, bulk: BulkFluxKind, a, b, v, lam: 
     """
     g, ops = bulk.kernel, _ops(a, b, v)
     maximum, minimum = ops[0], ops[1]
-    if kind is InterfaceFluxKind.G1_ONLY:
-        b_sh = b + lam
-        a_sh = a - lam
-    else:
-        b_sh = minimum(b + lam, maximum(a, v) + maximum(b - v, 0.0))
-        a_sh = maximum(a - lam, minimum(b, v) - maximum(v - a, 0.0))
-    s = None
+    b_sh, a_sh, s = b + lam, a - lam, None
     if bulk is BulkFluxKind.RUSANOV:
-        s = maximum(
-            maximum(abs(a - v), abs(b + lam - v)),
-            maximum(abs(a - lam - v), abs(b - v)),
-        )
+        s = maximum(maximum(abs(a - v), abs(b_sh - v)), maximum(abs(a_sh - v), abs(b - v)))
+        if kind is InterfaceFluxKind.MAX_GERM:
+            b_sh = minimum(b_sh, maximum(a, v) + maximum(b - v, 0.0))
+            a_sh = maximum(a_sh, minimum(b, v) - maximum(v - a, 0.0))
     return g(a, b_sh, v, ops, s=s), g(a_sh, b, v, ops, s=s)
 
 

@@ -905,3 +905,17 @@ def test_light_implicit_convergence_writes_the_recorded_bytes(tmp_path, capsys):
     digest, name = (tests / "light_implicit.sha256").read_text().split()
     assert [p.name for p in out.iterdir()] == [name] == ["convergence.csv"]
     assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+
+
+def test_germ_probe_writes_the_recorded_bytes(tmp_path, capsys):
+    # probe-germ at a friction and seed that no benchmark workload runs.
+    # The digest was recorded before the probe read its signs off the
+    # sample's order; CI checks the installed entry point against the same
+    # file.
+    tests = Path(__file__).resolve().parent
+    out = tmp_path / "out"
+    assert main(["probe-germ", str(tests / "germ_probe.cfg"), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    digest, name = (tests / "germ_probe.sha256").read_text().split()
+    assert [p.name for p in out.iterdir()] == [name] == ["probe_report.csv"]
+    assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest

@@ -839,6 +839,72 @@ def test_maximality_probe_matches_reference_on_tied_line_values():
     _assert_matches_reference(lam, v, n_h, line)
 
 
+@pytest.mark.parametrize("v", [0.0, -0.0, 0.3])
+@pytest.mark.parametrize("lam", [1.0, 2.5])
+def test_maximality_probe_matches_reference_on_sample_coordinates(lam, v):
+    # The probe finds where sign(a - u_minus) and sign(b - u_plus) change
+    # by binary search in the sorted parts of its sample.  At the CLI's
+    # sample size, candidates on sample coordinates (the first and last
+    # points included) put a run of sign 0 there: a on a line t or a box
+    # u_minus, b on a line t - lam or a box u_plus, both at once, and
+    # signed zeros.
+    n_h = 10_000
+    pts = sample_maximal_subset(v, lam, n_h)
+    line, box = pts[: n_h // 2], pts[n_h // 2 :]
+    rng = np.random.default_rng(12)
+
+    def some(x, k=6):
+        return [float(x[0]), float(x[-1])] + rng.choice(x, k).tolist()
+
+    free = rng.uniform(v - 3.0 * lam, v + 3.0 * lam, 3).tolist() + [0.0, -0.0]
+    a_on = some(line[:, 0]) + some(box[:, 0])
+    b_on = some(line[:, 1]) + some(box[:, 1])
+    cands = [(a, b) for a in a_on for b in free[::2]] + [(a, b) for a in free[1::2] for b in b_on]
+    cands += [tuple(p) for p in line[rng.choice(len(line), 8)]]
+    cands += [tuple(p) for p in box[rng.choice(len(box), 8)]]
+    cands += list(zip(a_on, b_on))
+    cands += [(a, b) for a in (0.0, -0.0) for b in (0.0, -0.0)]
+    _assert_matches_reference(lam, v, n_h, np.array(cands))
+
+
+@pytest.mark.parametrize("n", [100, 1000, 10_000])
+def test_the_sample_ascends_where_the_probe_reads_its_signs(n):
+    # maximality_probe reads its signs off the sample's order: u_minus does
+    # not decrease on the line points or on the box points, nor u_plus on
+    # the line points.  Where |v| dwarfs lam the points collapse onto few
+    # values, which must still not decrease.  The box's u_plus restarts on
+    # each row, so the probe takes its signs point by point.
+    n_line = max(2, n // 2)
+    for v, lam in itertools.product([0.0, 0.6, -0.6, 1e10], [1e-12, 0.25, 1.0, 2.5, 1e6]):
+        pts = sample_maximal_subset(v, lam, n)
+        for x in (pts[:n_line, 0], pts[n_line:, 0], pts[:n_line, 1]):
+            assert (x[1:] >= x[:-1]).all(), (v, lam)
+    collapsed = sample_maximal_subset(1e10, 1e-12, n)
+    assert len(set(collapsed[:, 0].tolist())) < n_line
+    box_up = sample_maximal_subset(0.0, 1.0, n)[n_line:, 1]
+    assert (box_up[1:] < box_up[:-1]).any()
+
+
+def test_maximality_probe_refuses_a_sample_out_of_order(monkeypatch):
+    sample = diagnostics.sample_maximal_subset
+
+    def shuffled(v, lam, n):
+        return np.random.default_rng(3).permutation(sample(v, lam, n))
+
+    monkeypatch.setattr(diagnostics, "sample_maximal_subset", shuffled)
+    with pytest.raises(ValueError, match="must ascend"):
+        maximality_probe(1.0, 0.0, 1000, [(1.0, 0.0)])
+
+    def box_up_descending(v, lam, n):
+        pts = sample(v, lam, n)
+        box = pts[n // 2 :]
+        return np.vstack([pts[: n // 2], box[np.lexsort((-box[:, 1], box[:, 0]))]])
+
+    # the box's u_plus may come in any order
+    monkeypatch.setattr(diagnostics, "sample_maximal_subset", box_up_descending)
+    assert maximality_probe(1.0, 0.0, 1000, [(1.0, 0.0)])[0].passes
+
+
 def test_three_smallest_is_argsort_prefix_with_ties():
     rng = np.random.default_rng(5)
     pool = np.array([-0.0, 0.0, 1.0, -1.0, 2.0, 0.5])
@@ -848,6 +914,25 @@ def test_three_smallest_is_argsort_prefix_with_ties():
             assert np.array_equal(_three_smallest(x), np.argsort(x)[:3])
     x = rng.uniform(size=100)
     assert np.array_equal(_three_smallest(x), np.argsort(x)[:3])
+    # Valleys, as the probe's line values are, some of them on a lattice
+    # that ties values; a second, deeper valley; plateaus tied at the third
+    # smallest value near the minimum, or between it and the second.
+    for n in (4, 5, 6, 9, 10, 17, 100, 1000, 5000):
+        for _ in range(40):
+            x = np.abs(np.arange(n) - rng.uniform(0, n)) * rng.uniform(0.1, 3.0)
+            if rng.random() < 0.5:
+                x = np.round(x * 2.0) / 2.0
+            j = int(x.argmin())
+            third = np.sort(x[max(0, j - 4) : j + 5])[2]
+            far = rng.choice(n, rng.integers(1, n + 1))
+            kind = rng.integers(4)
+            if kind == 1:
+                x[far] = x.min() - rng.uniform(0.0, 1.0, len(far))
+            elif kind == 2:
+                x[far] = third
+            elif kind == 3:
+                x[far] = 0.5 * (np.sort(x)[1] + third)
+            assert np.array_equal(_three_smallest(x), np.argsort(x)[:3]), (n, kind)
 
 
 def test_row_min_keeps_the_sign_of_zero_of_each_row():

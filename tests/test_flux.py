@@ -365,3 +365,50 @@ def test_a_bulk_flux_gives_equal_states_one_value(a, b, v, kind):
 
     fluxes = {_bits(bulk_flux(kind, x, y, v)) for x in signs(a) for y in signs(b)}
     assert len(fluxes) == 1
+
+
+_trace = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 5e-324, -5e-324]),
+    st.floats(-3.0, 3.0, allow_nan=False),
+    st.floats(-1e153, 1e153, allow_nan=False),
+)
+_friction = st.one_of(st.sampled_from([0.25, 1.0, 2.5]), st.floats(1e-12, 1e153))
+_relation = st.sampled_from(["free", "tie", "sonic a", "sonic b", "line", "box"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(states=st.lists(st.tuples(_trace, _trace, _trace, _friction, _relation), min_size=1, max_size=30))
+@example(states=[(-0.0, 0.0, -0.0, 1.0, "free"), (0.0, -0.0, 0.0, 1.0, "sonic a"),
+                 (1e153, -1e153, 1e153, 1e153, "line"), (0.5, -0.5, 0.0, 1.0, "box")])
+def test_godunov_and_eo_give_both_families_one_pair(states):
+    # Godunov and Engquist-Osher are constant in the trace that the MAX_GERM
+    # substitution moves, so interface_fluxes builds it for Rusanov alone.
+    # Their pair, under either kind, array or float call, must have the bits
+    # of the fluxes at the substituted traces (written out here), on signed
+    # zeros, ties, sonic points, the line G1, the subsonic box and states
+    # just inside the probes' overflow refusal.
+    rows = []
+    for a, b, v, lam, relation in states:
+        if relation == "tie":
+            b = a
+        elif relation == "sonic a":
+            v = a
+        elif relation == "sonic b":
+            v = b
+        elif relation == "line":
+            b = a - lam
+        elif relation == "box":
+            a, b = min(max(a, v), v + lam), min(max(b, v - lam), v)
+        diagnostics.refuse_overflow(max(abs(a), abs(b)) + lam + abs(v))  # accepted
+        rows.append((a, b, v, lam))
+    a, b, v, lam = (np.array(c) for c in zip(*rows))
+    b_sub = np.minimum(b + lam, np.maximum(a, v) + np.maximum(b - v, 0.0))
+    a_sub = np.maximum(a - lam, np.minimum(b, v) - np.maximum(v - a, 0.0))
+    for kind in (BulkFluxKind.GODUNOV, BulkFluxKind.ENGQUIST_OSHER):
+        want = bulk_flux(kind, a, b_sub, v).tobytes(), bulk_flux(kind, a_sub, b, v).tobytes()
+        for iface in IFACES:
+            gm, gp = interface_fluxes(iface, kind, a, b, v, lam)
+            assert (gm.tobytes(), gp.tobytes()) == want, iface
+            for k, row in enumerate(rows):
+                pair = interface_fluxes(iface, kind, *row)
+                assert (_bits(pair[0]), _bits(pair[1])) == (_bits(gm[k]), _bits(gp[k])), row
