@@ -38,7 +38,7 @@ from .diagnostics import (
     maximality_probe,
     refuse_overflow,
 )
-from .flux import BulkFluxKind, InterfaceFluxKind
+from .flux import BulkFluxKind, InterfaceFluxKind, interface_fluxes
 from .scheme import (
     BoundaryGuardError,
     Domain,
@@ -239,23 +239,20 @@ def _float_texts(x: np.ndarray) -> np.ndarray:
     nearest |v|*10**(16 - X), ties to even, trailing zeros after the point
     dropped.  10**(16 - X) is exact, and Dekker's two-product gives the
     product exactly as p + e; p >= 2**53 is an even integer, so
-    D = p + rint(e).  X comes from log10, corrected until D has 17 digits,
-    a round-up to 10**17 included.  A zero is laid out as 1 with its digit
-    set to 0; other values go through %."""
+    D = p + rint(e).  X comes from log10, once; a zero is laid out as 1 with
+    its digit set to 0.  A value whose D does not have 17 digits (log10 one
+    off next to a power of ten, or D rounded up to 10**17), zeros included,
+    and every other value go through %."""
     a = np.abs(x)
     fixed = (a >= 1e-4) & (a < 1e16)
     a = np.where(fixed, a, 1.0)
     ah, al = _split(a)
     X = np.floor(np.log10(a)).astype(np.int64).clip(-4, 15)
-    while True:
-        k = 16 - X
-        p, bh, bl = a * _POW10.take(k), _POW10_HI.take(k), _POW10_LO.take(k)
-        e = al * bl - (((p - ah * bh) - al * bh) - ah * bl)
-        D = p.astype(np.int64) + np.rint(e).astype(np.int64)
-        off = (D >= 10**17).astype(np.int64) - (D < 10**16)
-        if not off.any():
-            break
-        X += off  # log10 was one off next to a power of ten, or D rounded up
+    k = 16 - X
+    p, bh, bl = a * _POW10.take(k), _POW10_HI.take(k), _POW10_LO.take(k)
+    e = al * bl - (((p - ah * bh) - al * bh) - ah * bl)
+    D = p.astype(np.int64) + np.rint(e).astype(np.int64)
+    fixed = (fixed | (x == 0)) & (D >= 10**16) & (D < 10**17)
     groups = np.empty((len(x), 5), np.int64)  # digit 0, then four groups of four
     first, rest = np.divmod(D, 10**16)
     groups[:, 0] = first * (x != 0)
@@ -268,8 +265,8 @@ def _float_texts(x: np.ndarray) -> np.ndarray:
     words &= _KEEP.take(np.maximum(digits, X + 1), axis=0)
     words |= _HEAD.take(4 * X + 16 + 2 * (digits > X + 1) + np.signbit(x), axis=0)
     text = words.view(np.uint8)
-    other = np.flatnonzero(~fixed & (x != 0))
-    if other.size:  # subnormal, tiny, >= 1e16 or not finite
+    other = np.flatnonzero(~fixed)
+    if other.size:  # subnormal, tiny, >= 1e16, not finite or not 17 digits
         chars = ("%-24.17g" * other.size % tuple(x[other].tolist())).encode()
         chars = np.frombuffer(chars, np.uint8)
         text[other] = 0
@@ -403,23 +400,27 @@ def cmd_convergence(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 def cmd_probe_flux(cfg: ExperimentConfig, out_dir: Path) -> int:
     def work():
-        lam = cfg.scheme.lam
-        # The probe's states and speeds reach 3 + lam, so every value it forms
-        # is within refuse_overflow's bound 8*reach**2, which grows like
-        # lam**2, and rounding alone moves d1 and d2 by a few eps of it.  The
-        # gate allows 4*eps of that bound beyond TAU_NUM: 1.1e-13 at lambda =
-        # 1, where TAU_NUM decides.  The worst rounding seen for lambda from
-        # 1e-6 to 1e12 was 0.11 eps of the bound.  reach * reach overflows to
-        # inf (** would raise), and the probe refuses such a lambda.
-        reach = 3.0 + lam
-        limit = -(TAU_NUM + 4.0 * sys.float_info.epsilon * 8.0 * reach * reach)
-        rows = []
+        lam, box, n = cfg.scheme.lam, (-2.0, 2.0), 200
+        states = np.linspace(*box, n)  # the probe's sample, as a row and a column
+        rows, violations = [], []
         for iface, bulk, v in product(InterfaceFluxKind, BulkFluxKind, (-1.0, 0.0, 1.0)):
-            d1, d2 = dissipativity_probe(iface, bulk, lam, (-2.0, 2.0), v, 200)
+            d1, d2 = dissipativity_probe(iface, bulk, lam, box, v, n)
+            # Each flux of the pair is a few roundings of terms of at most
+            # about twice the largest flux F the row forms on its sample, and
+            # a difference of two drags adds a few more, whatever the sample
+            # spacing: rounding moves d1 and d2 by a few eps * F.  The gate
+            # allows 4 * eps * F beyond TAU_NUM: 1.9e-9 at lambda = 1e6, where
+            # F = 2e6 on the max-germ Rusanov rows and the worst difference is
+            # -4.7e-10.  The worst seen for lambda from 1e-6 to 1e12 was
+            # 2.1 eps * F.
+            size = max(float(np.abs(g).max())
+                       for g in interface_fluxes(iface, bulk, states[:, None], states, v, lam))
+            limit = -(TAU_NUM + 4.0 * sys.float_info.epsilon * size)
             status = "pass" if min(d1, d2) >= limit else "fail"
             rows.append(("dissipativity", bulk.value, iface.value, v, d1, d2, status))
-        violations = [(f"dissipativity_{flux}_{iface}_v{v:g}", min(d1, d2), limit)
-                      for _, flux, iface, v, d1, d2, status in rows if status == "fail"]
+            if status == "fail":
+                violations.append(
+                    (f"dissipativity_{bulk.value}_{iface.value}_v{v:g}", min(d1, d2), limit))
         header = ["probe", "flux", "iface", "v", "worst_d1", "worst_d2", "status"]
         return [("probe_report.csv", header, zip(*rows))], violations
 

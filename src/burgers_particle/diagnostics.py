@@ -111,9 +111,9 @@ def _fsum(x: np.ndarray, tails: Sequence[tuple[int, float]]) -> float:
 def _rounded(total: int, shift: int, tails, frac: float, err: int) -> float | None:
     """The float nearest to (total + R) / 2**shift + sum(k * c for its tails)
     when every R within err / 2**52 of ``frac`` gives that float and the
-    sums exclude 0, else None.  With err == 0 (and frac == 0.0) that is the
-    correctly rounded sum, or None when the sum is 0."""
-    total, e = (total << -shift, 0) if shift < 0 else (total, shift)
+    sums exclude 0, else None; ``shift`` >= 0.  With err == 0 (and frac ==
+    0.0) that is the correctly rounded sum, or None when the sum is 0."""
+    e = shift
     for count, c in tails:
         if count and c:  # count * c == count * num / 2**d
             num, den = c.as_integer_ratio()
@@ -142,23 +142,19 @@ def _exact_sum(x: np.ndarray, tails: Sequence, extremes, scratch: np.ndarray) ->
     sum(count * c for its pairs).  ``extremes`` is (row maxima, row minima);
     ``scratch`` is a free array of x's shape to work in.
 
-    Error-free extraction (Rump, Ogita and Oishi, SISC 2008), row by row:
+    One pass of error-free extraction (Rump, Ogita and Oishi, SISC 2008):
     each row is scaled by its own power of two 2**s so that every |x| < 2**b
     with n * 2**b <= 2**53; then the integer parts of a row sum exactly in
-    floating point, and each pass adds every row's sum into a Python int and
-    leaves the fractions, which the next pass scales by 2**b.  The tails add
-    exactly from their integer ratios, and one division per row rounds.
-
-    A row stops as soon as its rounding is decided (Ziv's rounding test, ACM
-    TOMS 1991).  After a pass, the float sum F of its n fractions, each below
-    1, lies within gamma_(n-1) * sum|f| < n*n * 2**-52 of their exact sum
-    (Higham's bound, whatever order numpy adds them in); when total + F +-
-    n*n * 2**-52 rounds to one float at both ends and excludes 0, that float
-    is the correctly rounded sum.  A row of dense data stops after its first
-    pass; a row that is not decided takes further passes until its fractions
-    are all 0.  An exact sum of 0 is +0.0, as ``math.fsum`` returns it
-    whatever the signs of its zero terms; a row whose scaling would underflow
-    goes to ``math.fsum``.
+    floating point into a Python int, the tails add exactly from their
+    integer ratios, and one division rounds.  The float sum F of the n
+    fractions, each below 1, lies within gamma_(n-1) * sum|f| < n*n * 2**-52
+    of their exact sum (Higham's bound, whatever order numpy adds them in).
+    When total + F +- n*n * 2**-52 rounds to one float at both ends and
+    excludes 0, that float is the correctly rounded sum (Ziv's rounding
+    test, ACM TOMS 1991); when the fractions are all 0 the sum is exact, and
+    an exact 0 is +0.0, as ``math.fsum`` returns it whatever the signs of
+    its zero terms.  A row that the pass leaves undecided, or whose scaling
+    would shift it down (s < 0, max|x| >= 2**b), goes to ``math.fsum``.
     """
     k, n = x.shape
     top, bottom = extremes
@@ -167,39 +163,21 @@ def _exact_sum(x: np.ndarray, tails: Sequence, extremes, scratch: np.ndarray) ->
     shifts = [
         min(b - math.frexp(max(t, -m))[1], 1023) for t, m in zip(top.tolist(), bottom.tolist())
     ]
-    factors = np.array([2.0**si for si in shifts])[:, None]
-    y = x * factors  # exact unless a term underflows
-    lossy = set()
-    if min(shifts) < 0:
-        down = [i for i, si in enumerate(shifts) if si < 0]
-        lost = (y[down] / factors[down] != x[down]).any(axis=1)
-        lossy = {i for i, bad in zip(down, lost.tolist()) if bad}
-    scale = float(1 << b)
-    rows, totals, out = list(range(k)), [0] * k, [0.0] * k
-    while True:
-        # integer and fractional parts, as np.modf splits them but faster;
-        # the subtraction is exact
-        part = scratch[: len(rows)]
-        np.trunc(y, out=part)
-        y -= part
-        fracs = y.sum(axis=1).tolist()
-        # a row whose fractions are all 0 has its exact sum
-        live = y.any(axis=1).tolist() if 0.0 in fracs else [True] * len(rows)
-        undecided = []
-        for j, (i, w, f, more) in enumerate(zip(rows, part.sum(axis=1).tolist(), fracs, live)):
-            totals[i] = (totals[i] << b) + int(w)
-            r = None if i in lossy else _rounded(totals[i], shifts[i], tails[i], f, more * n * n)
-            if r is None and more and i not in lossy:
-                undecided.append(j)
-            else:  # fsum for a lossy row; an exact sum of 0 is +0.0, as fsum returns it
-                out[i] = _fsum(x[i], tails[i]) if i in lossy else (0.0 if r is None else r)
-        if not undecided:
-            return out
-        if len(undecided) < len(rows):
-            y, rows = y[undecided], [rows[j] for j in undecided]
-        y *= scale
-        for i in rows:
-            shifts[i] += b
+    y = x * np.array([2.0**s for s in shifts])[:, None]  # exact where s >= 0
+    # integer and fractional parts, as np.modf splits them but faster; the
+    # subtraction is exact
+    np.trunc(y, out=scratch)
+    y -= scratch
+    fracs = y.sum(axis=1).tolist()
+    # a row whose fractions are all 0 has its exact sum
+    live = y.any(axis=1).tolist() if 0.0 in fracs else [True] * k
+    out = []
+    for i, (s, w, f, more) in enumerate(zip(shifts, scratch.sum(axis=1).tolist(), fracs, live)):
+        r = _rounded(int(w), s, tails[i], f, more * n * n) if s >= 0 else None
+        if r is None and (more or s < 0):
+            r = _fsum(x[i], tails[i])
+        out.append(0.0 if r is None else r)
+    return out
 
 
 def total_momentum(grid: "FluidGrid", particle: "ParticleState", cfg: "SchemeConfig") -> float:
@@ -575,16 +553,14 @@ def _three_smallest(x: np.ndarray) -> np.ndarray:
 
 def _linspace17(start: np.ndarray, stop: np.ndarray) -> np.ndarray:
     """``np.linspace(start[i], stop[i], 17)`` along a new last axis, with
-    linspace's own arithmetic (including its branch for steps that
-    underflow to zero), so the points have its bits."""
-    delta = stop - start
-    step = delta / 16
+    linspace's own arithmetic for a nonzero step, so the points have its
+    bits; a row whose step underflows to zero calls ``np.linspace``."""
+    step = (stop - start) / 16
     y = _REFINE_STEPS * step[..., None]
-    zero = step == 0
-    if zero.any():
-        y[zero] = _REFINE_STEPS / 16 * delta[zero][:, None]
     y += start[..., None]
     y[..., -1] = stop
+    for i in zip(*(step == 0).nonzero()):
+        y[i] = np.linspace(start[i], stop[i], 17)
     return y
 
 
@@ -755,15 +731,12 @@ def convergence_study(
     v0: float,
     cfg: "SchemeConfig",
     levels: Sequence[float],
-    reference=None,
 ) -> list[ConvergenceRow]:
     """Run the scheme on a ladder of mesh widths and report errors and orders.
 
-    ``reference`` may be a ParticleRiemannProblem (exact path), a Trajectory
-    (e.g. a finest-level run used as a self-consistency reference), or None
-    to pick automatically: the exact solution when the datum is a two-state
-    admissible profile with its jump at the particle, otherwise a run on a
-    mesh twice finer than the last level.
+    The reference is the exact solution (a ParticleRiemannProblem) when the
+    datum is a two-state admissible profile with its jump at the particle,
+    otherwise a run on a mesh twice finer than the last level.
     """
     from . import scheme
 
@@ -773,8 +746,7 @@ def convergence_study(
     if any(b >= a for a, b in zip(levels, levels[1:])):
         raise ValueError("key 'dx' must list strictly decreasing mesh levels")
 
-    if reference is None:
-        reference = _auto_reference(u0, h0, v0, cfg, levels)
+    reference = _auto_reference(u0, h0, v0, cfg, levels)
 
     rows: list[ConvergenceRow] = []
     prev: ConvergenceRow | None = None

@@ -313,9 +313,10 @@ def time_step(cfg: SchemeConfig, env: BoundsEnvelope, dx: float) -> tuple[float,
     mass step m_p/(4L) (4*L*dt/m_p <= 1) when smaller.  ``run`` takes this
     step and ``init_state`` sizes the padded window with it.  A ratio that
     underflows to 0 is refused, naming the key, and so is a mass so small
-    that dt/m_p times the envelope's bound on the drag, the bound of
-    ``check_run``'s acceleration limit, is not finite: a velocity update
-    would overflow."""
+    that dt/m_p times the drag bound 2*L*(sup|u| + lam + sup|v|) over the
+    envelope is not finite: a velocity update would overflow.  The
+    envelope's sup|u| bounds the datum's sup|u0|, which ``check_run``'s
+    acceleration limit takes, from above."""
     L = lipschitz_bound(cfg.bulk, env.m, env.M, env.v_lo, env.v_hi, cfg.lam)
     if not math.isfinite(L):
         raise ValueError(
@@ -636,14 +637,13 @@ def run(
     cfg: SchemeConfig,
     dx: float,
     snapshot_times: tuple[float, ...] = (),
-    store_all: bool = False,
 ) -> Trajectory:
     """Integrate the coupled system up to the final time.
 
     The nominal step comes from ``time_step``; the last step is truncated
     so the final time is hit exactly.  Snapshots are stored at t = 0, at the
-    final time, at every requested time (the state whose time slab covers
-    it), or at every step with ``store_all``.
+    final time and at every requested time (the state whose time slab covers
+    it).
     """
     _check_start(h0, v0, dx)
     env = bounds_envelope(u0, v0, cfg.lam, split=h0)
@@ -693,8 +693,6 @@ def run(
             for column, values in zip(records, make_record(block, cfg)):
                 column += values
             block = RecordBlock(grid)
-        if store_all and t != cfg.T:
-            snapshots.append((t, grid))
     if block.states:
         for column, values in zip(records, make_record(block, cfg)):
             column += values

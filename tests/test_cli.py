@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from burgers_particle import cli
+from burgers_particle import cli, diagnostics
 from burgers_particle.cli import (
     ConfigError,
     cmd_convergence,
@@ -20,7 +20,7 @@ from burgers_particle.cli import (
     main,
     parse_config,
 )
-from burgers_particle.flux import BulkFluxKind, InterfaceFluxKind
+from burgers_particle.flux import BulkFluxKind, InterfaceFluxKind, interface_fluxes
 from burgers_particle.scheme import BoundaryGuardError, Domain, FluidGrid, VelocityUpdate
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -600,6 +600,35 @@ def test_probe_flux_passes_at_a_friction_whose_fluxes_round_large(lam, tmp_path,
     assert "FAIL" not in capsys.readouterr().out
 
 
+def test_probe_flux_refuses_a_drop_just_above_its_rounding_allowance(tmp_path, monkeypatch, capsys):
+    # At lambda = 1e6 a row's allowance is 4*eps times the largest flux it
+    # forms on its sample, about 1.9e-9 on the max-germ Rusanov row at v = 1
+    # (a bound on lambda**2 allowed 7.1e-3).  A drop planted just above it
+    # fails with that limit; one just below it passes.
+    cfg = parse_config(_set_line(MINIMAL, "lambda = 1e6"))
+    states = np.linspace(-2.0, 2.0, 200)
+    A, B = np.meshgrid(states, states, indexing="ij")
+    fluxes = interface_fluxes(InterfaceFluxKind.MAX_GERM, BulkFluxKind.RUSANOV, A, B, 1.0, 1e6)
+    allowance = 1e-10 + 4.0 * sys.float_info.epsilon * max(float(np.abs(g).max()) for g in fluxes)
+    assert 1.8e-9 < allowance < 2e-9
+    real_probe = cli.dissipativity_probe
+    for drop, status in ((allowance * (1 + 1e-9), 1), (allowance * (1 - 1e-9), 0)):
+        def probe(iface, bulk, lam, box, v, n):
+            d1, d2 = real_probe(iface, bulk, lam, box, v, n)
+            if bulk is BulkFluxKind.RUSANOV and iface is InterfaceFluxKind.MAX_GERM and v == 1.0:
+                return -drop, d2
+            return d1, d2
+
+        monkeypatch.setattr(cli, "dissipativity_probe", probe)
+        assert cmd_probe_flux(cfg, tmp_path) == status
+        out = capsys.readouterr().out
+        if status:
+            assert out == (f"FAIL check=dissipativity_rusanov_max-germ_v1 value={-drop:.17g} "
+                           f"limit={-allowance:.17g}\n")
+        else:
+            assert out == ""
+
+
 def test_probe_germ_gate(tmp_path):
     cfg = parse_config(MINIMAL + "seed = 3\n")
     status = cmd_probe_germ(cfg, tmp_path)
@@ -874,6 +903,34 @@ def test_run_writes_the_reference_bytes(workload, tmp_path, monkeypatch):
     assert written == digests["workloads"][workload]
 
 
+@pytest.mark.parametrize("workload", ["compact-run", "periodic-dense"])
+def test_the_workloads_round_each_record_row_once(workload, tmp_path, monkeypatch):
+    # The momentum sum decides a row in one pass: every row of every record
+    # block of the seed-0 compact and periodic runs makes one _rounded call,
+    # and none of them goes to _fsum.
+    bench = _bench(monkeypatch)
+    rows, rounded, deferred = [], [], []
+    real_sum, real_rounded, real_fsum = diagnostics._exact_sum, diagnostics._rounded, diagnostics._fsum
+
+    def exact_sum(x, tails, extremes, scratch):
+        rows.append(x.shape[0])
+        rounded.append(0)
+        return real_sum(x, tails, extremes, scratch)
+
+    def counted(*args):
+        rounded[-1] += 1
+        return real_rounded(*args)
+
+    monkeypatch.setattr(diagnostics, "_exact_sum", exact_sum)
+    monkeypatch.setattr(diagnostics, "_rounded", counted)
+    monkeypatch.setattr(diagnostics, "_fsum", lambda *args: deferred.append(args) or real_fsum(*args))
+    config = {"compact-run": bench.compact_run, "periodic-dense": bench.periodic_dense}[workload]
+    cfg_path = tmp_path / "workload.cfg"
+    cfg_path.write_text(config(0, False), encoding="utf-8")
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+    assert len(rows) > 10 and rounded == rows and deferred == []
+
+
 def test_light_explicit_run_writes_the_recorded_bytes(tmp_path, capsys):
     # The mass-bound explicit regime, which no benchmark workload runs: the
     # compact datum at mass = 1e-3, where the mass condition sets the step.
@@ -905,6 +962,26 @@ def test_light_implicit_convergence_writes_the_recorded_bytes(tmp_path, capsys):
     digest, name = (tests / "light_implicit.sha256").read_text().split()
     assert [p.name for p in out.iterdir()] == [name] == ["convergence.csv"]
     assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+
+
+def test_mirror_run_writes_the_recorded_bytes_through_fsum(tmp_path, capsys, monkeypatch):
+    # An antisymmetric datum: every record row cancels to exactly 0 through
+    # fractional cells, which the momentum sum's one pass cannot decide, so
+    # the rows go to math.fsum.  The digests were recorded while further
+    # extraction passes decided those rows; CI checks the installed entry
+    # point against the same file with sha256sum -c.
+    tests = Path(__file__).resolve().parent
+    calls = []
+    real_fsum = diagnostics._fsum
+    monkeypatch.setattr(diagnostics, "_fsum", lambda *args: calls.append(args) or real_fsum(*args))
+    out = tmp_path / "out"
+    assert main(["run", str(tests / "mirror_run.cfg"), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    lines = (tests / "mirror_run.sha256").read_text().splitlines()
+    recorded = dict(line.split()[::-1] for line in lines)
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert written == recorded
+    assert len(calls) >= 1
 
 
 def test_germ_probe_writes_the_recorded_bytes(tmp_path, capsys):

@@ -233,8 +233,9 @@ def _fsum_rows(rows, tails):
 
 @pytest.fixture
 def passes(monkeypatch):
-    """The passes each row of the next ``_exact_sum`` calls takes: one
-    ``_rounded`` call a pass, keyed by the row's tails object."""
+    """The ``_rounded`` calls each row of the next ``_exact_sum`` calls
+    makes, keyed by the row's tails object: one for a row its pass scales
+    up, none for a row that goes straight to ``_fsum``."""
     calls = {}
     rounded = diagnostics._rounded
 
@@ -246,28 +247,47 @@ def passes(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def deferred(monkeypatch):
+    """The ``_fsum`` calls of the next ``_exact_sum`` calls, keyed by the
+    row's tails object."""
+    calls = {}
+    fsum = diagnostics._fsum
+
+    def counted(x, tails):
+        calls[id(tails)] = calls.get(id(tails), 0) + 1
+        return fsum(x, tails)
+
+    monkeypatch.setattr(diagnostics, "_fsum", counted)
+    return calls
+
+
 _H = 2.0**-53  # half an ulp of 1.0
 
 
 @pytest.mark.parametrize(
-    "row, least, most",
+    "row, to_fsum",
     [
-        ([1.0, _H], 2, 2),  # a tie: rounds to even, down
-        ([1.0 + 2 * _H, _H], 2, 2),  # a tie: rounds to even, up
-        ([1.0, _H, _H * 2.0**-40], 1, 1),  # 2**-40 of half an ulp above the tie
-        ([1.0, _H, -_H * 2.0**-40], 1, 1),  # and below it
-        ([1.0, _H, 2.0**-150], 3, None),  # off the tie by less than a pass resolves
-        ([_H, 1.0, -(2.0**-150)], 3, None),
-        ([1.0, _H, 2.0**-200, 2.0**-260 - 2.0**-200], 3, None),
-        ([1.0, -1.0, 1e-300], 3, None),  # cancels, then a tiny remainder
-        ([0.5, -0.25, -0.25, -0.0], 1, 1),  # exact after one pass: 0, as +0.0
-        ([-0.0, -0.0], 1, 1),
+        ([1.0, _H], True),  # a tie: rounds to even, down
+        ([1.0 + 2 * _H, _H], True),  # a tie: rounds to even, up
+        ([1.0, _H, _H * 2.0**-40], False),  # 2**-40 of half an ulp above the tie
+        ([1.0, _H, -_H * 2.0**-40], False),  # and below it
+        ([1.0, _H, 2.0**-150], True),  # off the tie by less than the pass resolves
+        ([_H, 1.0, -(2.0**-150)], True),
+        ([1.0, _H, 2.0**-200, 2.0**-260 - 2.0**-200], True),
+        ([1.0, -1.0, 1e-300], True),  # cancels, then a tiny remainder
+        ([0.5, -0.25, -0.25, -0.0], False),  # exact after the pass: 0, as +0.0
+        ([-0.0, -0.0], False),
+        ([3.0, -7.0, 2.0**-30], False),  # integers and a dyadic: exact
     ],
 )
-def test_exact_sum_stops_once_its_rounding_is_decided(passes, row, least, most):
+def test_exact_sum_rounds_once_and_defers_an_undecided_row_to_fsum(
+    passes, deferred, row, to_fsum
+):
     tails = ()
     assert _sums(np.array(row), tails).hex() == math.fsum(row).hex()
-    assert least <= passes[id(tails)] <= (most or math.inf)
+    assert passes[id(tails)] == 1
+    assert deferred.get(id(tails), 0) == to_fsum
 
 
 def test_exact_sum_of_dense_data_takes_one_pass(passes):
@@ -278,10 +298,12 @@ def test_exact_sum_of_dense_data_takes_one_pass(passes):
     assert passes[id(tails)] == 1
 
 
-def test_exact_sum_of_a_block_of_decided_undecided_and_lossy_rows(passes):
-    # A dense row decided in one pass, rows near a tie or cancelling to 0
-    # that take more, and a row whose scaling would flush 5e-324 (fsum), all
-    # with nonzero tails.
+def test_exact_sum_of_a_block_of_decided_undecided_and_shifted_down_rows(passes, deferred):
+    # A dense row decided by its pass, a row near a tie that the pass leaves
+    # undecided, a row cancelling to 0 exactly, a row whose scaling would
+    # shift it down and flush 5e-324, and a row of an integer and a dyadic,
+    # all with nonzero tails.  Each row the pass scales up makes one
+    # _rounded call; the undecided and the shifted-down rows go to _fsum.
     width = 600
     rows = np.zeros((5, width))
     rows[0] = np.random.default_rng(1).uniform(-1.0, 1.0, width)
@@ -292,8 +314,8 @@ def test_exact_sum_of_a_block_of_decided_undecided_and_lossy_rows(passes):
     tails = [((7, 0.1), (3, -0.1)), ((2, 0.25),), ((2, 0.25), (1, -0.5)), ((4, 1e-300),), ((9, 0.5),)]
     got = _sums(rows, tails)
     assert [r.hex() for r in got] == [e.hex() for e in _fsum_rows(rows.tolist(), tails)]
-    assert passes[id(tails[0])] == 1 and passes[id(tails[1])] > 1
-    assert id(tails[3]) not in passes  # the lossy row goes to fsum
+    assert [passes.get(id(t), 0) for t in tails] == [1, 1, 1, 0, 1]
+    assert [deferred.get(id(t), 0) for t in tails] == [0, 1, 0, 1, 0]
 
 
 # Values that no row scaling flushes: zeros and magnitudes in [1e-100, 1e100].
@@ -312,12 +334,11 @@ _unflushed = st.one_of(
     negative_zeros=st.booleans(),
 )
 @example(pool=[-0.0], n=3, seed=0, tails=[(5, -0.0)], negative_zeros=True)
-def test_a_row_that_sums_to_exactly_zero_is_fsums_zero_without_fsum(
-    pool, n, seed, tails, negative_zeros
-):
+def test_a_row_that_sums_to_exactly_zero_is_fsums_zero(pool, n, seed, tails, negative_zeros):
     # Mirrored cells with tails of k copies of c and of -c, or cells and
     # tails of -0.0 only: the exact total is 0, which fsum returns as +0.0,
-    # and _exact_sum gives it without calling _fsum, alone and in a block.
+    # and so does _exact_sum, alone and in a block.  A row whose pass is
+    # exact, of -0.0 or of small integers, gives it without calling _fsum.
     x = np.random.default_rng(seed).choice(np.array(pool), n)
     row = np.concatenate([x, -x[::-1]])
     tails = tails + [(k, -c) for k, c in tails]
@@ -325,10 +346,11 @@ def test_a_row_that_sums_to_exactly_zero_is_fsums_zero_without_fsum(
         row, tails = np.full(2 * n, -0.0), [(k, -0.0) for k, _ in tails]
     terms = row.tolist() + [c for k, c in tails for _ in range(k)]
     expected = math.fsum(terms).hex()
-    with mock.patch.object(diagnostics, "_fsum") as fsum:
+    with mock.patch.object(diagnostics, "_fsum", wraps=diagnostics._fsum) as fsum:
         one = _sums(row, tails)
         block = _sums(np.stack([row, np.ones_like(row), row]), [tails, (), tails])
-    fsum.assert_not_called()
+    if negative_zeros or all(c.is_integer() and abs(c) < 2**20 for c in pool):
+        fsum.assert_not_called()
     assert one.hex() == expected == (0.0).hex()
     assert [block[0].hex(), block[2].hex()] == [expected] * 2
 
@@ -985,7 +1007,10 @@ def test_convergence_against_exact_reference():
     u0 = PiecewiseConstant.riemann(1.0, -1.0, 0.0)
     prob = ParticleRiemannProblem(u_minus=1.0, u_plus=-1.0, v0=0.5, m_p=1.0, lam=1.0)
     cfg = SchemeConfig(lam=1.0, mu=0.25, T=0.5, m_p=1.0)
-    rows = convergence_study(u0, 0.0, 0.5, cfg, [0.08, 0.04, 0.02], reference=prob)
+    # an admissible two-state datum with its jump at the particle: the study
+    # takes this exact solution as its reference
+    assert diagnostics._auto_reference(u0, 0.0, 0.5, cfg, [0.08, 0.04, 0.02]) == prob
+    rows = convergence_study(u0, 0.0, 0.5, cfg, [0.08, 0.04, 0.02])
     for a, b in zip(rows, rows[1:]):
         assert b.err_h_sup < a.err_h_sup
         assert b.err_v_sup < a.err_v_sup

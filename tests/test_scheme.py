@@ -783,8 +783,14 @@ _COLUMNS = (
 )
 
 
+def _every_state(u0, h0, v0, cfg, dx):
+    """Snapshot times that make run(u0, h0, v0, cfg, dx) store every state:
+    the times of an identical first run."""
+    return tuple(run(u0, h0, v0, cfg, dx).times.tolist())
+
+
 def _reference_run(u0, h0, v0, cfg, dx):
-    """Full-window transliteration of run(..., store_all=True): every cell is
+    """Full-window transliteration of a run that stores every state: every cell is
     updated every step and every diagnostic sums the whole window.  Returns
     the states (t, u) and every Trajectory column by name."""
     from burgers_particle.germ import dist1_to_H
@@ -858,7 +864,7 @@ def test_run_matches_full_window_reference(iface, bulk, update):
     # leaks through the window edges.
     u0 = PiecewiseConstant(breakpoints=(-0.3, 0.0, 0.25), values=(-0.6, 1.1, -0.7, 0.9))
     cfg = base_cfg(T=0.3, m_p=0.5, bulk=bulk, iface=iface, velocity_update=update)
-    traj = run(u0, 0.0, 0.2, cfg, 0.05, store_all=True)
+    traj = run(u0, 0.0, 0.2, cfg, 0.05, snapshot_times=_every_state(u0, 0.0, 0.2, cfg, 0.05))
     _assert_matches_reference(traj, *_reference_run(u0, 0.0, 0.2, cfg, 0.05))
     assert traj.boundary_flux[-1] != 0.0
     first, last = traj.snapshots[0][1], traj.snapshots[-1][1]
@@ -890,7 +896,7 @@ def test_run_matches_full_window_reference_on_random_data(
     )
     u0 = PiecewiseConstant(breakpoints=tuple(sorted(breakpoints)), values=tuple(values))
     cfg = base_cfg(T=0.2, m_p=0.5, bulk=bulk, iface=iface, velocity_update=update)
-    traj = run(u0, 0.0, v0, cfg, 0.05, store_all=True)
+    traj = run(u0, 0.0, v0, cfg, 0.05, snapshot_times=_every_state(u0, 0.0, v0, cfg, 0.05))
     _assert_matches_reference(traj, *_reference_run(u0, 0.0, v0, cfg, 0.05))
 
 
@@ -899,7 +905,7 @@ def test_negative_zero_pieces_match_the_full_window_reference():
     # read as the far-field value, in the grid and in the record alike.
     u0 = PiecewiseConstant(breakpoints=(-0.4, -0.2, 0.1), values=(0.0, -0.0, 1.0, 0.5))
     cfg = base_cfg(T=0.2, m_p=0.5)
-    traj = run(u0, 0.0, 0.1, cfg, 0.05, store_all=True)
+    traj = run(u0, 0.0, 0.1, cfg, 0.05, snapshot_times=_every_state(u0, 0.0, 0.1, cfg, 0.05))
     _assert_matches_reference(traj, *_reference_run(u0, 0.0, 0.1, cfg, 0.05))
 
 
@@ -912,7 +918,7 @@ def test_run_matches_full_window_reference_on_long_sums(domain):
     u0 = PiecewiseConstant(breakpoints=(-5.9, 0.0, 5.9), values=(-0.6, 1.1, -0.7, 0.9))
     kw = {"half_width": 6.5} if domain is Domain.PERIODIC else {}
     cfg = base_cfg(T=0.15, m_p=0.5, bulk=BulkFluxKind.ENGQUIST_OSHER, domain=domain, **kw)
-    traj = run(u0, 0.0, 0.2, cfg, 0.02, store_all=True)
+    traj = run(u0, 0.0, 0.2, cfg, 0.02, snapshot_times=_every_state(u0, 0.0, 0.2, cfg, 0.02))
     _assert_matches_reference(traj, *_reference_run(u0, 0.0, 0.2, cfg, 0.02))
     sizes = [grid.hi - grid.lo for _, grid in traj.snapshots]
     if domain is Domain.PERIODIC:
@@ -938,20 +944,21 @@ def _record_blocks(monkeypatch, cells=None):
 
 
 @pytest.mark.parametrize("domain", list(Domain))
-@pytest.mark.parametrize("store_all", [True, False])
-def test_run_records_across_block_boundaries(domain, store_all, monkeypatch):
+@pytest.mark.parametrize("every_state", [True, False])
+def test_run_records_across_block_boundaries(domain, every_state, monkeypatch):
     # Small blocks: the run's states split into several make_record calls,
     # and the last block is shorter than the others.  Every column keeps
-    # its bits; without store_all the columns equal those of the run that
-    # stores every state.  The blocks hold the run's own grids, no copies.
+    # its bits; a run that stores no extra state has the columns of the run
+    # that stores every state.  The blocks hold the run's own grids, no copies.
     u0 = PiecewiseConstant(breakpoints=(-0.3, 0.0, 0.25), values=(-0.6, 1.1, -0.7, 0.9))
     kw = {"half_width": 9.0} if domain is Domain.PERIODIC else {}
     cfg = base_cfg(T=0.3, m_p=0.5, domain=domain, **kw)
     reference = _reference_run(u0, 0.0, 0.2, cfg, 0.05)
-    full = run(u0, 0.0, 0.2, cfg, 0.05, store_all=True)
+    times = _every_state(u0, 0.0, 0.2, cfg, 0.05)
+    full = run(u0, 0.0, 0.2, cfg, 0.05, snapshot_times=times)
     # three states of the 360-cell periodic box per block
     blocks = _record_blocks(monkeypatch, cells=3 * (360 + 2 * 128))
-    traj = run(u0, 0.0, 0.2, cfg, 0.05, store_all=store_all)
+    traj = run(u0, 0.0, 0.2, cfg, 0.05, snapshot_times=times if every_state else ())
     sizes = [len(states) for states in blocks]
     assert len(sizes) > 2 and sum(sizes) == len(traj.times)
     assert sizes[-1] < max(sizes)
@@ -959,7 +966,7 @@ def test_run_records_across_block_boundaries(domain, store_all, monkeypatch):
     stored = [grid for _, grid in traj.snapshots]
     assert grids[0] is stored[0] and grids[-1] is stored[-1]
     assert [p.v for states in blocks for _, p in states] == traj.v.tolist()
-    if store_all:
+    if every_state:
         assert len(grids) == len(stored) and all(a is b for a, b in zip(grids, stored))
         _assert_matches_reference(traj, *reference)
     for name in _COLUMNS:
@@ -974,8 +981,9 @@ def test_run_records_a_single_block_of_one_or_two_states(domain, T, monkeypatch)
     u0 = PiecewiseConstant(breakpoints=(-0.3, 0.0, 0.25), values=(-0.6, 1.1, -0.7, 0.9))
     kw = {"half_width": 4.0} if domain is Domain.PERIODIC else {}
     cfg = base_cfg(T=T, m_p=0.5, domain=domain, **kw)
+    times = _every_state(u0, 0.0, 0.2, cfg, 0.05)
     blocks = _record_blocks(monkeypatch)
-    traj = run(u0, 0.0, 0.2, cfg, 0.05, store_all=True)
+    traj = run(u0, 0.0, 0.2, cfg, 0.05, snapshot_times=times)
     states, columns = _reference_run(u0, 0.0, 0.2, cfg, 0.05)
     assert [len(b) for b in blocks] == [len(states)] == [1 if T == 0.0 else 2]
     _assert_matches_reference(traj, states, columns, min_states=len(states))
@@ -988,6 +996,7 @@ def test_an_unchanged_state_shares_its_cells_and_takes_one_record_row(monkeypatc
     # row per distinct cells object of a block.  Every column keeps the bits
     # of the per-state definitions.
     cfg = base_cfg(**_LIGHT_IMPLICIT)
+    times = _every_state(_RIEMANN, 0.0, 0.5, cfg, 0.02)
     rows = []
     real = diagnostics._exact_sum
 
@@ -997,7 +1006,7 @@ def test_an_unchanged_state_shares_its_cells_and_takes_one_record_row(monkeypatc
 
     monkeypatch.setattr(diagnostics, "_exact_sum", exact_sum)
     blocks = _record_blocks(monkeypatch)
-    traj = run(_RIEMANN, 0.0, 0.5, cfg, 0.02, store_all=True)
+    traj = run(_RIEMANN, 0.0, 0.5, cfg, 0.02, snapshot_times=times)
     grids = [grid for _, grid in traj.snapshots]
     shared = [b.cells is a.cells for a, b in zip(grids, grids[1:])]
     assert len(grids) == 301 and all(shared[shared.index(True) :])
@@ -1317,8 +1326,10 @@ def test_a_periodic_run_never_marks_its_grids(monkeypatch):
     # the array update, whose new cells are never the old ones: every step
     # evaluates its fluxes.
     cfg = base_cfg(T=0.1, domain=Domain.PERIODIC, half_width=2.0)
+    u0 = PiecewiseConstant((), (0.0,))
+    times = _every_state(u0, 0.0, 0.0, cfg, 0.05)
     calls = _count_calls(monkeypatch, "bulk_flux", "interface_fluxes")
-    traj = run(PiecewiseConstant((), (0.0,)), 0.0, 0.0, cfg, 0.05, store_all=True)
+    traj = run(u0, 0.0, 0.0, cfg, 0.05, snapshot_times=times)
     grids = [grid for _, grid in traj.snapshots]
     assert len(grids) == len(traj.times) > 5
     assert all(g.fixed is None for g in grids)
@@ -1445,7 +1456,7 @@ def test_run_boundary_flux_accounts_for_window_leakage():
 def test_sample_solution_conventions():
     u0 = PiecewiseConstant.riemann(1.0, -1.0, 0.0)
     cfg = base_cfg(T=0.4)
-    traj = run(u0, 0.0, 0.5, cfg, 0.1, store_all=True)
+    traj = run(u0, 0.0, 0.5, cfg, 0.1, snapshot_times=_every_state(u0, 0.0, 0.5, cfg, 0.1))
     t0, t1 = traj.times[2], traj.times[3]
     u_val, h_val, v_val = sample_solution(traj, float(t0), -1.05)
     assert v_val == traj.v[2]
@@ -1573,7 +1584,7 @@ def test_one_sided_invariant_region_shifted_family():
     # one-sided band, ordered toward the particle
     u0 = PiecewiseConstant.riemann(0.4, -0.4, 0.0)
     cfg = base_cfg(T=2.0, iface=InterfaceFluxKind.G1_ONLY, mu=0.3)
-    traj = run(u0, 0.0, 0.0, cfg, 0.02, store_all=True)
+    traj = run(u0, 0.0, 0.0, cfg, 0.02, snapshot_times=_every_state(u0, 0.0, 0.0, cfg, 0.02))
     tau = 1e-10
     for _, g in traj.snapshots:
         p0 = g.particle_index
